@@ -7,9 +7,11 @@
 //   * direct      — in-process function call (lower bound, no isolation)
 //   * unix socket — the paper's choice
 //   * tcp         — loopback TCP with TCP_NODELAY
+// then sweeps the payload encoding (JSON vs binary) over 1/8/64 pipelined
+// channels on the shared reactor, writing BENCH_wire.json to the working
+// directory.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -22,6 +24,7 @@
 #include "convgpu/codec.h"
 #include "ipc/framing.h"
 #include "ipc/socket.h"
+#include "json/json.h"
 
 namespace convgpu::bench {
 namespace {
@@ -112,9 +115,9 @@ class TcpScheduler {
       auto conn = listener.Accept();
       if (!conn.ok()) return;
       for (;;) {
-        auto raw = ipc::ReadMessage(conn->get());
+        auto raw = ipc::ReadFrame(conn->get());
         if (!raw.ok()) return;
-        auto decoded = protocol::Parse(*raw);
+        auto decoded = protocol::DecodePayload(*raw);
         if (!decoded.ok()) continue;
         if (auto* alloc = std::get_if<protocol::AllocRequest>(&*decoded)) {
           protocol::AllocReply reply;
@@ -123,8 +126,9 @@ class TcpScheduler {
           core_.RequestAlloc(alloc->container_id, alloc->pid, alloc->size,
                              [&decided](const Status& s) { decided.set_value(s); });
           reply.granted = future.get().ok();
-          (void)ipc::WriteMessage(conn->get(),
-                                  protocol::Serialize(protocol::Message(reply)));
+          (void)ipc::WriteFrame(
+              conn->get(), protocol::EncodePayload(protocol::json_codec(),
+                                                   protocol::Message(reply)));
         } else if (auto* abort = std::get_if<protocol::AllocAbort>(&*decoded)) {
           (void)core_.AbortAlloc(abort->container_id, abort->pid, abort->size);
         }
@@ -165,25 +169,27 @@ void BM_Transport_tcp_loopback(benchmark::State& state) {
     state.SkipWithError("tcp connect failed");
     return;
   }
-  const json::Json request = protocol::Serialize(AllocMessage());
+  const std::string request =
+      protocol::EncodePayload(protocol::json_codec(), AllocMessage());
   protocol::AllocAbort abort;
   abort.container_id = "bench";
   abort.pid = 1;
   abort.size = 1 * kMiB;
-  const json::Json rollback = protocol::Serialize(protocol::Message(abort));
+  const std::string rollback = protocol::EncodePayload(
+      protocol::json_codec(), protocol::Message(abort));
 
   for (auto _ : state) {
-    if (!ipc::WriteMessage(scheduler.client_.get(), request).ok()) {
+    if (!ipc::WriteFrame(scheduler.client_.get(), request).ok()) {
       state.SkipWithError("tcp write failed");
       return;
     }
-    auto reply = ipc::ReadMessage(scheduler.client_.get());
-    if (!reply.ok()) {
+    auto reply = ipc::ReadFrame(scheduler.client_.get());
+    if (!reply.ok() || !protocol::DecodePayload(*reply).ok()) {
       state.SkipWithError("tcp read failed");
       return;
     }
     state.PauseTiming();
-    (void)ipc::WriteMessage(scheduler.client_.get(), rollback);
+    (void)ipc::WriteFrame(scheduler.client_.get(), rollback);
     while (scheduler.core().StatsFor("bench")->used > 66 * kMiB) {
       std::this_thread::yield();
     }
@@ -194,158 +200,6 @@ void BM_Transport_tcp_loopback(benchmark::State& state) {
 BENCHMARK(BM_Transport_direct)->Iterations(2000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Transport_unix_socket)->Iterations(2000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Transport_tcp_loopback)->Iterations(2000)->Unit(benchmark::kMicrosecond);
-
-// --- Channel sweep: shared reactor vs per-socket servers --------------------
-//
-// The scheduler used to run one MessageServer (thread + wake pipe) per
-// container socket; it now runs ONE reactor with N listeners. This sweep
-// measures echo round-trip latency at 1 / 8 / 64 channels under both
-// arrangements, isolating the transport from scheduler logic. Results land
-// in BENCH_transport.json.
-
-struct SweepSample {
-  std::string mode;
-  int channels = 0;
-  std::size_t requests = 0;
-  double avg_us = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-};
-
-/// Echo round trips on `channels` concurrent clients; `paths[c]` is the
-/// socket client c dials. Returns every request's latency in microseconds.
-std::vector<double> MeasureEcho(const std::vector<std::string>& paths,
-                                int requests_per_client) {
-  std::vector<std::vector<double>> per_client(paths.size());
-  std::vector<std::thread> clients;
-  clients.reserve(paths.size());
-  for (std::size_t c = 0; c < paths.size(); ++c) {
-    clients.emplace_back([&, c] {
-      auto client = ipc::MessageClient::ConnectUnix(paths[c]);
-      if (!client.ok()) return;
-      json::Json request;
-      request["type"] = "ping";
-      request["channel"] = static_cast<std::int64_t>(c);
-      per_client[c].reserve(static_cast<std::size_t>(requests_per_client));
-      for (int i = 0; i < requests_per_client; ++i) {
-        const auto start = std::chrono::steady_clock::now();
-        auto reply = (*client)->Call(request);
-        const auto stop = std::chrono::steady_clock::now();
-        if (!reply.ok()) return;
-        per_client[c].push_back(
-            std::chrono::duration<double, std::micro>(stop - start).count());
-      }
-    });
-  }
-  for (auto& thread : clients) thread.join();
-  std::vector<double> all;
-  for (auto& latencies : per_client) {
-    all.insert(all.end(), latencies.begin(), latencies.end());
-  }
-  return all;
-}
-
-SweepSample Summarize(std::string mode, int channels,
-                      std::vector<double> latencies) {
-  SweepSample sample;
-  sample.mode = std::move(mode);
-  sample.channels = channels;
-  sample.requests = latencies.size();
-  if (latencies.empty()) return sample;
-  std::sort(latencies.begin(), latencies.end());
-  double sum = 0.0;
-  for (double v : latencies) sum += v;
-  sample.avg_us = sum / static_cast<double>(latencies.size());
-  auto quantile = [&](double q) {
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(latencies.size() - 1));
-    return latencies[idx];
-  };
-  sample.p50_us = quantile(0.50);
-  sample.p99_us = quantile(0.99);
-  return sample;
-}
-
-SweepSample SweepShared(const std::string& dir, int channels, int requests) {
-  ipc::MessageServer server;
-  if (!server.Start().ok()) std::abort();
-  std::vector<std::string> paths;
-  for (int c = 0; c < channels; ++c) {
-    paths.push_back(dir + "/shared-" + std::to_string(c) + ".sock");
-    auto id = server.AddJsonListener(
-        paths.back(),
-        [&server](ipc::ListenerId, ipc::ConnectionId conn, json::Json msg) {
-          (void)server.Send(conn, msg);
-        });
-    if (!id.ok()) std::abort();
-  }
-  auto sample = Summarize("shared_reactor", channels,
-                          MeasureEcho(paths, requests));
-  server.Stop();
-  return sample;
-}
-
-SweepSample SweepPerSocket(const std::string& dir, int channels,
-                           int requests) {
-  // The pre-refactor arrangement: one MessageServer (reactor thread + wake
-  // pipe) per socket.
-  std::vector<std::unique_ptr<ipc::MessageServer>> servers;
-  std::vector<std::string> paths;
-  for (int c = 0; c < channels; ++c) {
-    paths.push_back(dir + "/per-" + std::to_string(c) + ".sock");
-    auto server = std::make_unique<ipc::MessageServer>();
-    auto* raw = server.get();
-    if (!server
-             ->StartJson(paths.back(),
-                         [raw](ipc::ConnectionId conn, json::Json msg) {
-                           (void)raw->Send(conn, msg);
-                         })
-             .ok()) {
-      std::abort();
-    }
-    servers.push_back(std::move(server));
-  }
-  auto sample = Summarize("per_socket_server", channels,
-                          MeasureEcho(paths, requests));
-  for (auto& server : servers) server->Stop();
-  return sample;
-}
-
-void RunChannelSweep() {
-  const std::string dir = MakeBenchDir("abl-sweep");
-  constexpr int kRequestsPerClient = 500;
-  std::vector<SweepSample> samples;
-  for (const int channels : {1, 8, 64}) {
-    samples.push_back(SweepShared(dir, channels, kRequestsPerClient));
-    samples.push_back(SweepPerSocket(dir, channels, kRequestsPerClient));
-  }
-
-  json::Json report;
-  report["benchmark"] = "ablation_transport_channel_sweep";
-  report["requests_per_client"] = kRequestsPerClient;
-  json::Array rows;
-  std::printf("\nchannel sweep (echo round trip):\n");
-  std::printf("%-20s %9s %9s %10s %10s %10s\n", "mode", "channels",
-              "requests", "avg_us", "p50_us", "p99_us");
-  for (const auto& sample : samples) {
-    json::Json row;
-    row["mode"] = sample.mode;
-    row["channels"] = sample.channels;
-    row["requests"] = static_cast<std::int64_t>(sample.requests);
-    row["avg_us"] = sample.avg_us;
-    row["p50_us"] = sample.p50_us;
-    row["p99_us"] = sample.p99_us;
-    rows.push_back(std::move(row));
-    std::printf("%-20s %9d %9zu %10.2f %10.2f %10.2f\n", sample.mode.c_str(),
-                sample.channels, sample.requests, sample.avg_us,
-                sample.p50_us, sample.p99_us);
-  }
-  report["channel_sweep"] = std::move(rows);
-
-  std::ofstream out("BENCH_transport.json");
-  out << report.Dump(2) << "\n";
-  std::printf("wrote BENCH_transport.json\n");
-}
 
 // --- Wire-encoding sweep: JSON vs binary payloads ---------------------------
 //
@@ -485,7 +339,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  convgpu::bench::RunChannelSweep();
   convgpu::bench::RunWireSweep();
   return 0;
 }

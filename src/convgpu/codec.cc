@@ -13,11 +13,12 @@ namespace {
 
 // --- JSON text writer -------------------------------------------------------
 //
-// Emits the exact bytes `Serialize(message, req_id).Dump()` would produce —
-// object keys in sorted order, identical escaping and number formatting —
-// without building a json::Json tree per message (the old hot-path
-// allocation). Pinned byte-for-byte against the tree writer by
-// protocol_test's randomized cross-equivalence suite.
+// Writes the JSON encoding straight into the caller's buffer, with object
+// keys in sorted order and escaping and number formatting exactly as
+// json::Json::Dump would print them — so a tree-based peer emits the same
+// bytes — without building a json::Json tree per message. The bytes are
+// pinned by the golden table in protocol_test
+// (CodecTest.JsonCodecMatchesGoldenBytes).
 
 void AppendEscaped(std::string& out, std::string_view s) {
   out += '"';
@@ -363,6 +364,243 @@ void WriteJson(const ReattachReply& m, std::optional<ReqId> req_id,
   w.Close();
 }
 
+// --- JSON tree reader -------------------------------------------------------
+//
+// Decoding goes through a json::Json tree: the "type" discriminator decides
+// which fields are required, and a missing or mistyped required field is a
+// typed kInvalidArgument. Unknown keys are ignored, so an old peer's frames
+// (no "req_id", no "binary") and a newer peer's extra keys both decode.
+
+using json::Json;
+
+Status Missing(std::string_view type, std::string_view field) {
+  return InvalidArgumentError(std::string(type) + ": missing field '" +
+                              std::string(field) + "'");
+}
+
+Result<std::string> ReqString(const Json& j, std::string_view type,
+                              std::string_view field) {
+  auto value = j.GetString(field);
+  if (!value) return Missing(type, field);
+  return *value;
+}
+
+Result<std::int64_t> ReqInt(const Json& j, std::string_view type,
+                            std::string_view field) {
+  auto value = j.GetInt(field);
+  if (!value) return Missing(type, field);
+  return *value;
+}
+
+std::optional<ReqId> JsonReqId(const Json& frame) {
+  if (!frame.is_object()) return std::nullopt;
+  auto id = frame.GetInt("req_id");
+  if (!id || *id < 0) return std::nullopt;
+  return static_cast<ReqId>(*id);
+}
+
+Result<Message> ParseJson(const Json& j) {
+  auto type = j.GetString("type");
+  if (!type) return InvalidArgumentError("message missing 'type'");
+
+  if (*type == "register_container") {
+    RegisterContainer m;
+    auto id = ReqString(j, *type, "container_id");
+    if (!id.ok()) return id.status();
+    m.container_id = *id;
+    if (auto limit = j.GetInt("memory_limit")) m.memory_limit = *limit;
+    return Message(m);
+  }
+  if (*type == "register_reply") {
+    RegisterReply m;
+    m.ok = j.GetBool("ok").value_or(false);
+    m.error = j.GetString("error").value_or("");
+    m.socket_dir = j.GetString("socket_dir").value_or("");
+    m.socket_path = j.GetString("socket_path").value_or("");
+    return Message(m);
+  }
+  if (*type == "alloc_request") {
+    AllocRequest m;
+    auto id = ReqString(j, *type, "container_id");
+    if (!id.ok()) return id.status();
+    auto pid = ReqInt(j, *type, "pid");
+    if (!pid.ok()) return pid.status();
+    auto size = ReqInt(j, *type, "size");
+    if (!size.ok()) return size.status();
+    m.container_id = *id;
+    m.pid = *pid;
+    m.size = *size;
+    m.api = j.GetString("api").value_or("");
+    return Message(m);
+  }
+  if (*type == "alloc_reply") {
+    AllocReply m;
+    m.granted = j.GetBool("granted").value_or(false);
+    m.error = j.GetString("error").value_or("");
+    return Message(m);
+  }
+  if (*type == "alloc_commit") {
+    AllocCommit m;
+    auto id = ReqString(j, *type, "container_id");
+    if (!id.ok()) return id.status();
+    auto pid = ReqInt(j, *type, "pid");
+    if (!pid.ok()) return pid.status();
+    auto address = ReqInt(j, *type, "address");
+    if (!address.ok()) return address.status();
+    auto size = ReqInt(j, *type, "size");
+    if (!size.ok()) return size.status();
+    m.container_id = *id;
+    m.pid = *pid;
+    m.address = static_cast<std::uint64_t>(*address);
+    m.size = *size;
+    return Message(m);
+  }
+  if (*type == "alloc_abort") {
+    AllocAbort m;
+    auto id = ReqString(j, *type, "container_id");
+    if (!id.ok()) return id.status();
+    auto pid = ReqInt(j, *type, "pid");
+    if (!pid.ok()) return pid.status();
+    auto size = ReqInt(j, *type, "size");
+    if (!size.ok()) return size.status();
+    m.container_id = *id;
+    m.pid = *pid;
+    m.size = *size;
+    return Message(m);
+  }
+  if (*type == "free") {
+    FreeNotify m;
+    auto id = ReqString(j, *type, "container_id");
+    if (!id.ok()) return id.status();
+    auto pid = ReqInt(j, *type, "pid");
+    if (!pid.ok()) return pid.status();
+    auto address = ReqInt(j, *type, "address");
+    if (!address.ok()) return address.status();
+    m.container_id = *id;
+    m.pid = *pid;
+    m.address = static_cast<std::uint64_t>(*address);
+    return Message(m);
+  }
+  if (*type == "mem_get_info") {
+    MemGetInfoRequest m;
+    auto id = ReqString(j, *type, "container_id");
+    if (!id.ok()) return id.status();
+    m.container_id = *id;
+    m.pid = j.GetInt("pid").value_or(0);
+    return Message(m);
+  }
+  if (*type == "mem_info_reply") {
+    MemInfoReply m;
+    m.free = j.GetInt("free").value_or(0);
+    m.total = j.GetInt("total").value_or(0);
+    return Message(m);
+  }
+  if (*type == "process_exit") {
+    ProcessExit m;
+    auto id = ReqString(j, *type, "container_id");
+    if (!id.ok()) return id.status();
+    auto pid = ReqInt(j, *type, "pid");
+    if (!pid.ok()) return pid.status();
+    m.container_id = *id;
+    m.pid = *pid;
+    return Message(m);
+  }
+  if (*type == "container_close") {
+    ContainerClose m;
+    auto id = ReqString(j, *type, "container_id");
+    if (!id.ok()) return id.status();
+    m.container_id = *id;
+    return Message(m);
+  }
+  if (*type == "ping") return Message(Ping{});
+  if (*type == "pong") return Message(Pong{});
+  if (*type == "stats") return Message(StatsRequest{});
+  if (*type == "stats_reply") {
+    StatsReply m;
+    m.capacity = j.GetInt("capacity").value_or(0);
+    m.free_pool = j.GetInt("free_pool").value_or(0);
+    m.policy = j.GetString("policy").value_or("");
+    m.kicked_connections =
+        static_cast<std::uint64_t>(j.GetInt("kicked_connections").value_or(0));
+    if (const Json* containers = j.Find("containers");
+        containers != nullptr && containers->is_array()) {
+      for (const Json& entry : containers->as_array()) {
+        ContainerStatsWire c;
+        c.container_id = entry.GetString("container_id").value_or("");
+        c.limit = entry.GetInt("limit").value_or(0);
+        c.assigned = entry.GetInt("assigned").value_or(0);
+        c.used = entry.GetInt("used").value_or(0);
+        c.suspended = entry.GetBool("suspended").value_or(false);
+        c.total_suspended_sec =
+            entry.GetDouble("total_suspended_sec").value_or(0.0);
+        c.suspend_episodes = static_cast<std::uint64_t>(
+            entry.GetInt("suspend_episodes").value_or(0));
+        c.kicked_connections = static_cast<std::uint64_t>(
+            entry.GetInt("kicked_connections").value_or(0));
+        m.containers.push_back(std::move(c));
+      }
+    }
+    return Message(m);
+  }
+  if (*type == "hello") {
+    Hello m;
+    auto id = ReqString(j, *type, "container_id");
+    if (!id.ok()) return id.status();
+    auto pid = ReqInt(j, *type, "pid");
+    if (!pid.ok()) return pid.status();
+    m.container_id = *id;
+    m.pid = *pid;
+    m.binary = j.GetBool("binary").value_or(false);
+    return Message(m);
+  }
+  if (*type == "hello_reply") {
+    HelloReply m;
+    m.ok = j.GetBool("ok").value_or(false);
+    m.error = j.GetString("error").value_or("");
+    m.epoch = static_cast<std::uint64_t>(j.GetInt("epoch").value_or(0));
+    m.limit = j.GetInt("limit").value_or(0);
+    m.binary = j.GetBool("binary").value_or(false);
+    return Message(m);
+  }
+  if (*type == "reattach") {
+    Reattach m;
+    auto id = ReqString(j, *type, "container_id");
+    if (!id.ok()) return id.status();
+    auto pid = ReqInt(j, *type, "pid");
+    if (!pid.ok()) return pid.status();
+    auto epoch = ReqInt(j, *type, "epoch");
+    if (!epoch.ok()) return epoch.status();
+    m.container_id = *id;
+    m.pid = *pid;
+    m.epoch = static_cast<std::uint64_t>(*epoch);
+    m.limit = j.GetInt("limit").value_or(0);
+    if (const Json* allocations = j.Find("allocations");
+        allocations != nullptr && allocations->is_array()) {
+      for (const Json& entry : allocations->as_array()) {
+        auto address = ReqInt(entry, *type, "address");
+        if (!address.ok()) return address.status();
+        auto size = ReqInt(entry, *type, "size");
+        if (!size.ok()) return size.status();
+        LiveAlloc a;
+        a.address = static_cast<std::uint64_t>(*address);
+        a.size = *size;
+        m.allocations.push_back(a);
+      }
+    }
+    m.binary = j.GetBool("binary").value_or(false);
+    return Message(m);
+  }
+  if (*type == "reattach_reply") {
+    ReattachReply m;
+    m.ok = j.GetBool("ok").value_or(false);
+    m.error = j.GetString("error").value_or("");
+    m.epoch = static_cast<std::uint64_t>(j.GetInt("epoch").value_or(0));
+    m.binary = j.GetBool("binary").value_or(false);
+    return Message(m);
+  }
+  return InvalidArgumentError("unknown message type: " + *type);
+}
+
 class JsonCodec final : public Codec {
  public:
   [[nodiscard]] std::string_view name() const override { return "json"; }
@@ -377,14 +615,14 @@ class JsonCodec final : public Codec {
       std::string_view payload) const override {
     auto parsed = json::Json::Parse(payload);
     if (!parsed.ok()) return parsed.status();
-    return Parse(*parsed);
+    return ParseJson(*parsed);
   }
 
   [[nodiscard]] std::optional<ReqId> PeekReqId(
       std::string_view payload) const override {
     auto parsed = json::Json::Parse(payload);
     if (!parsed.ok()) return std::nullopt;
-    return protocol::PeekReqId(*parsed);
+    return JsonReqId(*parsed);
   }
 };
 

@@ -4,8 +4,8 @@
 // ipc/framing.h). This header defines how the *payload* is encoded:
 //
 //  * JsonCodec   — the paper's encoding: a JSON object with a "type"
-//    discriminator (and optional "req_id"), byte-identical to
-//    `Serialize(message, req_id).Dump()`.
+//    discriminator (and optional "req_id"), keys in sorted order; the
+//    exact bytes are pinned by golden bytes in protocol_test.
 //  * BinaryCodec — a compact fixed-layout encoding: a magic byte, a tag
 //    byte naming the Message alternative, a varint req_id (0 = absent),
 //    then the struct's fields in declaration order (LEB128 varints,
@@ -82,11 +82,12 @@ std::optional<ReqId> PeekPayloadReqId(std::string_view payload);
 std::string EncodePayload(const Codec& codec, const Message& message,
                           std::optional<ReqId> req_id = std::nullopt);
 
-/// The typed entry point for raw wire payloads, mirroring Dispatch(Json):
-/// decodes `payload` with whichever codec it is encoded in, surfaces its
-/// correlation id, and visits the message. Malformed payloads are rejected
-/// here — the returned status is the decode error and the visitor never
-/// runs.
+/// The typed entry point for raw wire payloads: decodes `payload` with
+/// whichever codec it is encoded in, surfaces its correlation id (filled in
+/// before the visitor runs, so reply paths — deferred ones included — can
+/// echo it), and visits the message. Malformed payloads are rejected here —
+/// the returned status is the decode error and the visitor never runs — so
+/// handlers never touch raw bytes.
 template <typename V>
 Status DispatchFrame(std::string_view payload, std::optional<ReqId>& req_id,
                      V&& visitor) {

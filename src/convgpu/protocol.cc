@@ -5,191 +5,6 @@
 
 namespace convgpu::protocol {
 
-namespace {
-
-using json::Json;
-
-Json Obj(std::string_view type) {
-  Json j;
-  j["type"] = Json(type);
-  return j;
-}
-
-Status Missing(std::string_view type, std::string_view field) {
-  return InvalidArgumentError(std::string(type) + ": missing field '" +
-                              std::string(field) + "'");
-}
-
-Result<std::string> ReqString(const Json& j, std::string_view type,
-                              std::string_view field) {
-  auto value = j.GetString(field);
-  if (!value) return Missing(type, field);
-  return *value;
-}
-
-Result<std::int64_t> ReqInt(const Json& j, std::string_view type,
-                            std::string_view field) {
-  auto value = j.GetInt(field);
-  if (!value) return Missing(type, field);
-  return *value;
-}
-
-}  // namespace
-
-json::Json Serialize(const Message& message) {
-  return std::visit(
-      [](const auto& m) -> Json {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, RegisterContainer>) {
-          Json j = Obj("register_container");
-          j["container_id"] = m.container_id;
-          if (m.memory_limit) j["memory_limit"] = *m.memory_limit;
-          return j;
-        } else if constexpr (std::is_same_v<T, RegisterReply>) {
-          Json j = Obj("register_reply");
-          j["ok"] = m.ok;
-          if (!m.error.empty()) j["error"] = m.error;
-          j["socket_dir"] = m.socket_dir;
-          j["socket_path"] = m.socket_path;
-          return j;
-        } else if constexpr (std::is_same_v<T, AllocRequest>) {
-          Json j = Obj("alloc_request");
-          j["container_id"] = m.container_id;
-          j["pid"] = m.pid;
-          j["size"] = m.size;
-          j["api"] = m.api;
-          return j;
-        } else if constexpr (std::is_same_v<T, AllocReply>) {
-          Json j = Obj("alloc_reply");
-          j["granted"] = m.granted;
-          if (!m.error.empty()) j["error"] = m.error;
-          return j;
-        } else if constexpr (std::is_same_v<T, AllocCommit>) {
-          Json j = Obj("alloc_commit");
-          j["container_id"] = m.container_id;
-          j["pid"] = m.pid;
-          j["address"] = static_cast<std::int64_t>(m.address);
-          j["size"] = m.size;
-          return j;
-        } else if constexpr (std::is_same_v<T, AllocAbort>) {
-          Json j = Obj("alloc_abort");
-          j["container_id"] = m.container_id;
-          j["pid"] = m.pid;
-          j["size"] = m.size;
-          return j;
-        } else if constexpr (std::is_same_v<T, FreeNotify>) {
-          Json j = Obj("free");
-          j["container_id"] = m.container_id;
-          j["pid"] = m.pid;
-          j["address"] = static_cast<std::int64_t>(m.address);
-          return j;
-        } else if constexpr (std::is_same_v<T, MemGetInfoRequest>) {
-          Json j = Obj("mem_get_info");
-          j["container_id"] = m.container_id;
-          j["pid"] = m.pid;
-          return j;
-        } else if constexpr (std::is_same_v<T, MemInfoReply>) {
-          Json j = Obj("mem_info_reply");
-          j["free"] = m.free;
-          j["total"] = m.total;
-          return j;
-        } else if constexpr (std::is_same_v<T, ProcessExit>) {
-          Json j = Obj("process_exit");
-          j["container_id"] = m.container_id;
-          j["pid"] = m.pid;
-          return j;
-        } else if constexpr (std::is_same_v<T, ContainerClose>) {
-          Json j = Obj("container_close");
-          j["container_id"] = m.container_id;
-          return j;
-        } else if constexpr (std::is_same_v<T, Ping>) {
-          return Obj("ping");
-        } else if constexpr (std::is_same_v<T, Pong>) {
-          return Obj("pong");
-        } else if constexpr (std::is_same_v<T, StatsRequest>) {
-          return Obj("stats");
-        } else if constexpr (std::is_same_v<T, StatsReply>) {
-          Json j = Obj("stats_reply");
-          j["capacity"] = m.capacity;
-          j["free_pool"] = m.free_pool;
-          j["policy"] = m.policy;
-          j["kicked_connections"] =
-              static_cast<std::int64_t>(m.kicked_connections);
-          json::Array containers;
-          for (const auto& c : m.containers) {
-            Json entry;
-            entry["container_id"] = c.container_id;
-            entry["limit"] = c.limit;
-            entry["assigned"] = c.assigned;
-            entry["used"] = c.used;
-            entry["suspended"] = c.suspended;
-            entry["total_suspended_sec"] = c.total_suspended_sec;
-            entry["suspend_episodes"] =
-                static_cast<std::int64_t>(c.suspend_episodes);
-            entry["kicked_connections"] =
-                static_cast<std::int64_t>(c.kicked_connections);
-            containers.push_back(std::move(entry));
-          }
-          j["containers"] = std::move(containers);
-          return j;
-        } else if constexpr (std::is_same_v<T, Hello>) {
-          Json j = Obj("hello");
-          j["container_id"] = m.container_id;
-          j["pid"] = m.pid;
-          // Emitted only when advertised so old peers never see the key
-          // (and absence parses back to false — lossless round trip).
-          if (m.binary) j["binary"] = true;
-          return j;
-        } else if constexpr (std::is_same_v<T, HelloReply>) {
-          Json j = Obj("hello_reply");
-          j["ok"] = m.ok;
-          if (!m.error.empty()) j["error"] = m.error;
-          j["epoch"] = static_cast<std::int64_t>(m.epoch);
-          j["limit"] = m.limit;
-          if (m.binary) j["binary"] = true;
-          return j;
-        } else if constexpr (std::is_same_v<T, Reattach>) {
-          Json j = Obj("reattach");
-          j["container_id"] = m.container_id;
-          j["pid"] = m.pid;
-          j["epoch"] = static_cast<std::int64_t>(m.epoch);
-          j["limit"] = m.limit;
-          json::Array allocations;
-          for (const auto& a : m.allocations) {
-            Json entry;
-            entry["address"] = static_cast<std::int64_t>(a.address);
-            entry["size"] = a.size;
-            allocations.push_back(std::move(entry));
-          }
-          j["allocations"] = std::move(allocations);
-          if (m.binary) j["binary"] = true;
-          return j;
-        } else {
-          static_assert(std::is_same_v<T, ReattachReply>);
-          Json j = Obj("reattach_reply");
-          j["ok"] = m.ok;
-          if (!m.error.empty()) j["error"] = m.error;
-          j["epoch"] = static_cast<std::int64_t>(m.epoch);
-          if (m.binary) j["binary"] = true;
-          return j;
-        }
-      },
-      message);
-}
-
-json::Json Serialize(const Message& message, std::optional<ReqId> req_id) {
-  json::Json j = Serialize(message);
-  if (req_id) j["req_id"] = static_cast<std::int64_t>(*req_id);
-  return j;
-}
-
-std::optional<ReqId> PeekReqId(const json::Json& frame) {
-  if (!frame.is_object()) return std::nullopt;
-  auto id = frame.GetInt("req_id");
-  if (!id || *id < 0) return std::nullopt;
-  return static_cast<ReqId>(*id);
-}
-
 std::string_view TypeName(const Message& message) {
   return std::visit(
       [](const auto& m) -> std::string_view {
@@ -217,216 +32,15 @@ std::string_view TypeName(const Message& message) {
       message);
 }
 
-Result<Message> Parse(const json::Json& j) {
-  auto type = j.GetString("type");
-  if (!type) return InvalidArgumentError("message missing 'type'");
-
-  if (*type == "register_container") {
-    RegisterContainer m;
-    auto id = ReqString(j, *type, "container_id");
-    if (!id.ok()) return id.status();
-    m.container_id = *id;
-    if (auto limit = j.GetInt("memory_limit")) m.memory_limit = *limit;
-    return Message(m);
-  }
-  if (*type == "register_reply") {
-    RegisterReply m;
-    m.ok = j.GetBool("ok").value_or(false);
-    m.error = j.GetString("error").value_or("");
-    m.socket_dir = j.GetString("socket_dir").value_or("");
-    m.socket_path = j.GetString("socket_path").value_or("");
-    return Message(m);
-  }
-  if (*type == "alloc_request") {
-    AllocRequest m;
-    auto id = ReqString(j, *type, "container_id");
-    if (!id.ok()) return id.status();
-    auto pid = ReqInt(j, *type, "pid");
-    if (!pid.ok()) return pid.status();
-    auto size = ReqInt(j, *type, "size");
-    if (!size.ok()) return size.status();
-    m.container_id = *id;
-    m.pid = *pid;
-    m.size = *size;
-    m.api = j.GetString("api").value_or("");
-    return Message(m);
-  }
-  if (*type == "alloc_reply") {
-    AllocReply m;
-    m.granted = j.GetBool("granted").value_or(false);
-    m.error = j.GetString("error").value_or("");
-    return Message(m);
-  }
-  if (*type == "alloc_commit") {
-    AllocCommit m;
-    auto id = ReqString(j, *type, "container_id");
-    if (!id.ok()) return id.status();
-    auto pid = ReqInt(j, *type, "pid");
-    if (!pid.ok()) return pid.status();
-    auto address = ReqInt(j, *type, "address");
-    if (!address.ok()) return address.status();
-    auto size = ReqInt(j, *type, "size");
-    if (!size.ok()) return size.status();
-    m.container_id = *id;
-    m.pid = *pid;
-    m.address = static_cast<std::uint64_t>(*address);
-    m.size = *size;
-    return Message(m);
-  }
-  if (*type == "alloc_abort") {
-    AllocAbort m;
-    auto id = ReqString(j, *type, "container_id");
-    if (!id.ok()) return id.status();
-    auto pid = ReqInt(j, *type, "pid");
-    if (!pid.ok()) return pid.status();
-    auto size = ReqInt(j, *type, "size");
-    if (!size.ok()) return size.status();
-    m.container_id = *id;
-    m.pid = *pid;
-    m.size = *size;
-    return Message(m);
-  }
-  if (*type == "free") {
-    FreeNotify m;
-    auto id = ReqString(j, *type, "container_id");
-    if (!id.ok()) return id.status();
-    auto pid = ReqInt(j, *type, "pid");
-    if (!pid.ok()) return pid.status();
-    auto address = ReqInt(j, *type, "address");
-    if (!address.ok()) return address.status();
-    m.container_id = *id;
-    m.pid = *pid;
-    m.address = static_cast<std::uint64_t>(*address);
-    return Message(m);
-  }
-  if (*type == "mem_get_info") {
-    MemGetInfoRequest m;
-    auto id = ReqString(j, *type, "container_id");
-    if (!id.ok()) return id.status();
-    m.container_id = *id;
-    m.pid = j.GetInt("pid").value_or(0);
-    return Message(m);
-  }
-  if (*type == "mem_info_reply") {
-    MemInfoReply m;
-    m.free = j.GetInt("free").value_or(0);
-    m.total = j.GetInt("total").value_or(0);
-    return Message(m);
-  }
-  if (*type == "process_exit") {
-    ProcessExit m;
-    auto id = ReqString(j, *type, "container_id");
-    if (!id.ok()) return id.status();
-    auto pid = ReqInt(j, *type, "pid");
-    if (!pid.ok()) return pid.status();
-    m.container_id = *id;
-    m.pid = *pid;
-    return Message(m);
-  }
-  if (*type == "container_close") {
-    ContainerClose m;
-    auto id = ReqString(j, *type, "container_id");
-    if (!id.ok()) return id.status();
-    m.container_id = *id;
-    return Message(m);
-  }
-  if (*type == "ping") return Message(Ping{});
-  if (*type == "pong") return Message(Pong{});
-  if (*type == "stats") return Message(StatsRequest{});
-  if (*type == "stats_reply") {
-    StatsReply m;
-    m.capacity = j.GetInt("capacity").value_or(0);
-    m.free_pool = j.GetInt("free_pool").value_or(0);
-    m.policy = j.GetString("policy").value_or("");
-    m.kicked_connections =
-        static_cast<std::uint64_t>(j.GetInt("kicked_connections").value_or(0));
-    if (const Json* containers = j.Find("containers");
-        containers != nullptr && containers->is_array()) {
-      for (const Json& entry : containers->as_array()) {
-        ContainerStatsWire c;
-        c.container_id = entry.GetString("container_id").value_or("");
-        c.limit = entry.GetInt("limit").value_or(0);
-        c.assigned = entry.GetInt("assigned").value_or(0);
-        c.used = entry.GetInt("used").value_or(0);
-        c.suspended = entry.GetBool("suspended").value_or(false);
-        c.total_suspended_sec =
-            entry.GetDouble("total_suspended_sec").value_or(0.0);
-        c.suspend_episodes = static_cast<std::uint64_t>(
-            entry.GetInt("suspend_episodes").value_or(0));
-        c.kicked_connections = static_cast<std::uint64_t>(
-            entry.GetInt("kicked_connections").value_or(0));
-        m.containers.push_back(std::move(c));
-      }
-    }
-    return Message(m);
-  }
-  if (*type == "hello") {
-    Hello m;
-    auto id = ReqString(j, *type, "container_id");
-    if (!id.ok()) return id.status();
-    auto pid = ReqInt(j, *type, "pid");
-    if (!pid.ok()) return pid.status();
-    m.container_id = *id;
-    m.pid = *pid;
-    m.binary = j.GetBool("binary").value_or(false);
-    return Message(m);
-  }
-  if (*type == "hello_reply") {
-    HelloReply m;
-    m.ok = j.GetBool("ok").value_or(false);
-    m.error = j.GetString("error").value_or("");
-    m.epoch = static_cast<std::uint64_t>(j.GetInt("epoch").value_or(0));
-    m.limit = j.GetInt("limit").value_or(0);
-    m.binary = j.GetBool("binary").value_or(false);
-    return Message(m);
-  }
-  if (*type == "reattach") {
-    Reattach m;
-    auto id = ReqString(j, *type, "container_id");
-    if (!id.ok()) return id.status();
-    auto pid = ReqInt(j, *type, "pid");
-    if (!pid.ok()) return pid.status();
-    auto epoch = ReqInt(j, *type, "epoch");
-    if (!epoch.ok()) return epoch.status();
-    m.container_id = *id;
-    m.pid = *pid;
-    m.epoch = static_cast<std::uint64_t>(*epoch);
-    m.limit = j.GetInt("limit").value_or(0);
-    if (const Json* allocations = j.Find("allocations");
-        allocations != nullptr && allocations->is_array()) {
-      for (const Json& entry : allocations->as_array()) {
-        auto address = ReqInt(entry, *type, "address");
-        if (!address.ok()) return address.status();
-        auto size = ReqInt(entry, *type, "size");
-        if (!size.ok()) return size.status();
-        LiveAlloc a;
-        a.address = static_cast<std::uint64_t>(*address);
-        a.size = *size;
-        m.allocations.push_back(a);
-      }
-    }
-    m.binary = j.GetBool("binary").value_or(false);
-    return Message(m);
-  }
-  if (*type == "reattach_reply") {
-    ReattachReply m;
-    m.ok = j.GetBool("ok").value_or(false);
-    m.error = j.GetString("error").value_or("");
-    m.epoch = static_cast<std::uint64_t>(j.GetInt("epoch").value_or(0));
-    m.binary = j.GetBool("binary").value_or(false);
-    return Message(m);
-  }
-  return InvalidArgumentError("unknown message type: " + *type);
-}
-
 Result<Message> Call(ipc::MessageClient& client, const Message& request,
-                     std::optional<ReqId> req_id) {
+                     std::optional<ReqId> req_id,
+                     std::optional<std::chrono::milliseconds> timeout) {
   // Requests go out as JSON (a raw client never negotiates binary), but the
   // reply is decoded by whatever encoding it arrives in, so a Call issued
   // on a binary-negotiated connection still correlates correctly.
   CONVGPU_RETURN_IF_ERROR(
       client.SendFrame(EncodePayload(json_codec(), request, req_id)));
-  auto reply = client.RecvFrame();
+  auto reply = timeout ? client.RecvFrame(*timeout) : client.RecvFrame();
   if (!reply.ok()) return reply.status();
   // An id-less reply is a legitimate old peer; a *wrong* id means the
   // stream answered some other request.

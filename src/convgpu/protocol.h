@@ -13,6 +13,7 @@
 //   tooling        → scheduler : ping, stats          (request/reply)
 #pragma once
 
+#include <chrono>
 #include <limits>
 #include <optional>
 #include <string>
@@ -23,7 +24,6 @@
 #include "common/clock.h"
 #include "common/ids.h"
 #include "common/result.h"
-#include "json/json.h"
 
 namespace convgpu::protocol {
 
@@ -202,29 +202,13 @@ using ReqId = std::uint64_t;
 inline constexpr ReqId kMaxWireReqId =
     static_cast<ReqId>(std::numeric_limits<std::int64_t>::max());
 
-/// Serializes any message (adds the "type" discriminator).
-json::Json Serialize(const Message& message);
-
-/// Serializes with a correlation id: the plain encoding plus a top-level
-/// "req_id" field (omitted when `req_id` is empty).
-json::Json Serialize(const Message& message, std::optional<ReqId> req_id);
-
-/// Extracts the correlation id of a raw frame without parsing the rest;
-/// empty for id-less frames (old peers) and for malformed ids.
-std::optional<ReqId> PeekReqId(const json::Json& frame);
-
-/// Parses a message by its "type" field. kInvalidArgument for unknown types
-/// or missing required fields. A "req_id" field, when present, is carried
-/// alongside the payload — read it with PeekReqId; Parse itself ignores it.
-Result<Message> Parse(const json::Json& value);
-
 /// The "type" string a given alternative serializes to (for tests/logging).
 std::string_view TypeName(const Message& message);
 
-/// Overload set for Dispatch: one callable per message type the caller
-/// handles, plus a generic arm for everything else, e.g.
+/// Overload set for DispatchFrame (codec.h): one callable per message type
+/// the caller handles, plus a generic arm for everything else, e.g.
 ///
-///   protocol::Dispatch(frame, protocol::Visitor{
+///   protocol::DispatchFrame(payload, req_id, protocol::Visitor{
 ///       [&](const protocol::AllocRequest& request) { ... },
 ///       [&](const protocol::Ping&) { ... },
 ///       [&](const auto& other) { /* unexpected type */ },
@@ -235,27 +219,6 @@ struct Visitor : Fns... {
 };
 template <typename... Fns>
 Visitor(Fns...) -> Visitor<Fns...>;
-
-/// The typed entry point for raw wire frames: parses `frame` and visits the
-/// decoded message. Malformed frames are rejected here — the returned
-/// status is the parse error and the visitor never runs — so handlers never
-/// touch raw json::Json.
-template <typename V>
-Status Dispatch(const json::Json& frame, V&& visitor) {
-  auto message = Parse(frame);
-  if (!message.ok()) return message.status();
-  std::visit(std::forward<V>(visitor), *message);
-  return Status::Ok();
-}
-
-/// Dispatch that also surfaces the frame's correlation id, filled in before
-/// the visitor runs so reply paths (including deferred ones) can echo it.
-template <typename V>
-Status Dispatch(const json::Json& frame, std::optional<ReqId>& req_id,
-                V&& visitor) {
-  req_id = PeekReqId(frame);
-  return Dispatch(frame, std::forward<V>(visitor));
-}
 
 /// Narrows a decoded reply to the expected alternative; kInvalidArgument
 /// (naming the actual type) on a mismatched reply.
@@ -275,14 +238,19 @@ class MessageClient;
 
 namespace convgpu::protocol {
 
-/// Typed request/reply over a blocking client: Serialize, send, block for
-/// one frame, Parse. Suspended allocation replies block here, exactly like
-/// the raw client. When `req_id` is given it rides on the request and the
-/// reply's echoed id — if the peer echoes one at all (old daemons do not)
-/// — must match, else kFailedPrecondition; this catches a desynchronized
-/// stream instead of silently consuming someone else's reply.
-Result<Message> Call(ipc::MessageClient& client, const Message& request,
-                     std::optional<ReqId> req_id = std::nullopt);
+/// Typed request/reply over a blocking client: encode as JSON, send, block
+/// for one frame, decode it in whichever encoding it arrives. Suspended
+/// allocation replies block here, exactly like the raw client. When
+/// `req_id` is given it rides on the request and the reply's echoed id — if
+/// the peer echoes one at all (old daemons do not) — must match, else
+/// kFailedPrecondition; this catches a desynchronized stream instead of
+/// silently consuming someone else's reply. With a `timeout`, the reply
+/// must start arriving within it or the call fails with kDeadlineExceeded
+/// (handshakes against a possibly-hung peer).
+Result<Message> Call(
+    ipc::MessageClient& client, const Message& request,
+    std::optional<ReqId> req_id = std::nullopt,
+    std::optional<std::chrono::milliseconds> timeout = std::nullopt);
 
 /// Typed one-way send.
 Status Notify(ipc::MessageClient& client, const Message& message);

@@ -183,11 +183,9 @@ Result<std::unique_ptr<SocketSchedulerLink>> SocketSchedulerLink::Connect(
     // as JSON — an old daemon simply ignores the unknown key and never
     // echoes it, which reads back as "JSON only".
     hello.binary = options.enable_binary;
-    CONVGPU_RETURN_IF_ERROR(
-        (*client)->Send(protocol::Serialize(protocol::Message(hello))));
-    auto raw = (*client)->Recv(options.handshake_timeout);
-    if (!raw.ok()) return raw.status();
-    auto reply = protocol::Expect<protocol::HelloReply>(protocol::Parse(*raw));
+    auto reply = protocol::Expect<protocol::HelloReply>(
+        protocol::Call(**client, protocol::Message(hello), std::nullopt,
+                       options.handshake_timeout));
     if (!reply.ok()) return reply.status();
     if (!reply->ok) {
       return FailedPreconditionError("hello rejected by scheduler: " +
@@ -223,7 +221,7 @@ SocketSchedulerLink::~SocketSchedulerLink() {
     client = client_;
   }
   backoff_cv_.notify_all();      // interrupts a reconnect backoff wait
-  if (client) client->Shutdown();  // wakes a reader blocked in Recv()
+  if (client) client->Shutdown();  // wakes a reader blocked in RecvFrame()
   if (worker_.joinable()) worker_.join();
   // The worker's exit path has already failed every waiting caller.
 }
@@ -447,11 +445,9 @@ Status SocketSchedulerLink::ReattachHandshake(ipc::MessageClient& client) {
   // The handshake itself always travels as JSON.
   reattach.binary = options_.enable_binary;
 
-  CONVGPU_RETURN_IF_ERROR(
-      client.Send(protocol::Serialize(protocol::Message(reattach))));
-  auto raw = client.Recv(options_.handshake_timeout);
-  if (!raw.ok()) return raw.status();
-  auto reply = protocol::Expect<protocol::ReattachReply>(protocol::Parse(*raw));
+  auto reply = protocol::Expect<protocol::ReattachReply>(
+      protocol::Call(client, protocol::Message(reattach), std::nullopt,
+                     options_.handshake_timeout));
   if (!reply.ok()) return reply.status();
   if (!reply->ok) {
     return FailedPreconditionError("reattach rejected by scheduler: " +

@@ -353,8 +353,8 @@ void SchedulerServer::HandleContainer(const std::string& container_id,
             // The reply may be deferred (suspension) and fire from whichever
             // thread releases memory, possibly after this container was
             // closed and its listener removed — the shared reactor outlives
-            // every channel, and Send() on a vanished connection is a clean
-            // kNotFound. The captured req_id makes the deferred grant land
+            // every channel, and SendBytes() on a vanished connection is a
+            // clean kNotFound. The captured req_id makes the deferred grant land
             // on the caller that parked, however many sibling calls the
             // pipelined link issued in between.
             core_.RequestAlloc(

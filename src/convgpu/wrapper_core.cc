@@ -250,14 +250,18 @@ CudaError WrapperCore::StreamDestroy(cudasim::StreamId stream) {
 void WrapperCore::RegisterFatBinary() { inner_->RegisterFatBinary(); }
 
 void WrapperCore::UnregisterFatBinary() {
-  protocol::ProcessExit exit;
-  exit.pid = pid_;
-  (void)link_->Notify(protocol::Message(exit));
+  // Tear the driver context down before reporting the exit: process_exit
+  // releases this pid's share of the ledger, and a grant that release makes
+  // possible must not reach the device while the old context still holds
+  // its memory.
+  inner_->UnregisterFatBinary();
   {
     MutexLock lock(mutex_);
     live_.clear();
   }
-  inner_->UnregisterFatBinary();
+  protocol::ProcessExit exit;
+  exit.pid = pid_;
+  (void)link_->Notify(protocol::Message(exit));
 }
 
 CudaError WrapperCore::GetLastError() {

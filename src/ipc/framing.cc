@@ -55,14 +55,4 @@ Result<std::string> ReadFrame(int fd) {
   return payload;
 }
 
-Status WriteMessage(int fd, const json::Json& message) {
-  return WriteFrame(fd, message.Dump());
-}
-
-Result<json::Json> ReadMessage(int fd) {
-  auto frame = ReadFrame(fd);
-  if (!frame.ok()) return frame.status();
-  return json::Json::Parse(*frame);
-}
-
 }  // namespace convgpu::ipc

@@ -1,13 +1,12 @@
-// Message framing: 4-byte big-endian length prefix + JSON payload bytes.
+// Message framing: 4-byte big-endian length prefix + opaque payload bytes.
 //
 // UNIX stream sockets provide a byte stream; ConVGPU's protocol is message
-// oriented, so every JSON document travels in one frame.
+// oriented, so every encoded message (convgpu/codec.h) travels in one frame.
 #pragma once
 
 #include <string>
 
 #include "common/result.h"
-#include "json/json.h"
 
 namespace convgpu::ipc {
 
@@ -20,9 +19,5 @@ Status WriteFrame(int fd, std::string_view payload);
 
 /// Reads one complete frame (blocking). kAborted on clean EOF between frames.
 Result<std::string> ReadFrame(int fd);
-
-/// JSON convenience layer.
-Status WriteMessage(int fd, const json::Json& message);
-Result<json::Json> ReadMessage(int fd);
 
 }  // namespace convgpu::ipc

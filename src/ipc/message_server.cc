@@ -2,12 +2,9 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <array>
 #include <cerrno>
@@ -60,13 +57,11 @@ Status MessageServer::StartLocked() {
   wake_write_.Reset(pipe_fds[1]);
   SetNonBlocking(wake_read_.get());
   SetNonBlocking(wake_write_.get());
-#ifdef __linux__
   epoll_.Reset(::epoll_create1(EPOLL_CLOEXEC));
   if (!epoll_.valid()) {
     return InternalError(std::string("epoll_create1: ") + std::strerror(errno));
   }
   PollerAdd(wake_read_.get(), kWakeKey);
-#endif
   running_ = true;
   reactor_ = std::thread([this] { Run(); });
   return Status::Ok();
@@ -97,25 +92,6 @@ Status MessageServer::Start(const std::string& path,
   return Status::Ok();
 }
 
-Status MessageServer::StartJson(const std::string& path,
-                                SimpleJsonHandler on_message,
-                                SimpleDisconnectHandler on_disconnect) {
-  SimpleMessageHandler wrapped;
-  if (on_message) {
-    wrapped = [handler = std::move(on_message)](ConnectionId conn,
-                                                std::string payload) {
-      auto parsed = json::Json::Parse(payload);
-      if (!parsed.ok()) {
-        CONVGPU_LOG(kWarn, kTag) << "bad JSON from connection " << conn << ": "
-                                 << parsed.status().ToString();
-        return;  // skip the malformed frame, keep the connection
-      }
-      handler(conn, std::move(*parsed));
-    };
-  }
-  return Start(path, std::move(wrapped), std::move(on_disconnect));
-}
-
 Result<ListenerId> MessageServer::AddListener(const std::string& path,
                                               MessageHandler on_message,
                                               DisconnectHandler on_disconnect) {
@@ -138,28 +114,8 @@ Result<ListenerId> MessageServer::AddListener(const std::string& path,
     listener.callbacks = std::move(callbacks);
     PollerAdd(listener.socket->fd(), ListenerKey(id));
     if (first_path_.empty()) first_path_ = path;
-    WakeLocked();  // the poll() fallback rebuilds its fd set on wake-up
     return id;
   }
-}
-
-Result<ListenerId> MessageServer::AddJsonListener(
-    const std::string& path, JsonMessageHandler on_message,
-    DisconnectHandler on_disconnect) {
-  MessageHandler wrapped;
-  if (on_message) {
-    wrapped = [handler = std::move(on_message)](
-                  ListenerId listener, ConnectionId conn, std::string payload) {
-      auto parsed = json::Json::Parse(payload);
-      if (!parsed.ok()) {
-        CONVGPU_LOG(kWarn, kTag) << "bad JSON from connection " << conn << ": "
-                                 << parsed.status().ToString();
-        return;  // skip the malformed frame, keep the connection
-      }
-      handler(listener, conn, std::move(*parsed));
-    };
-  }
-  return AddListener(path, std::move(wrapped), std::move(on_disconnect));
 }
 
 Status MessageServer::RemoveListener(ListenerId listener) {
@@ -223,10 +179,6 @@ Status MessageServer::SendBytes(ConnectionId conn, std::string_view payload) {
     if (reactor_tid_ != std::this_thread::get_id()) WakeLocked();
   }
   return Status::Ok();
-}
-
-Status MessageServer::Send(ConnectionId conn, const json::Json& message) {
-  return SendBytes(conn, message.Dump());
 }
 
 void MessageServer::CloseConnection(ConnectionId conn) {
@@ -327,8 +279,8 @@ void MessageServer::AcceptPending(ListenerId id) {
 
 void MessageServer::HandleReadable(ConnectionId id) {
   // Drain available bytes into the connection's read buffer, then peel off
-  // complete frames. The handler may call Send()/CloseConnection(), which
-  // take the mutex, so the payloads are copied out before dispatching.
+  // complete frames. The handler may call SendBytes()/CloseConnection(),
+  // which take the mutex, so the payloads are copied out before dispatching.
   std::vector<std::string> messages;
   ListenerId listener = 0;
   std::shared_ptr<const Callbacks> callbacks;
@@ -446,8 +398,6 @@ void MessageServer::FlushDirty() {
   }
 }
 
-#ifdef __linux__
-
 void MessageServer::PollerAdd(int fd, std::uint64_t key) {
   epoll_event event{};
   event.events = EPOLLIN;
@@ -511,81 +461,12 @@ void MessageServer::Run() {
       if ((mask & EPOLLIN) != 0) HandleReadable(id);
       if ((mask & EPOLLOUT) != 0) HandleWritable(id);
     }
-    // Flush replies queued by handlers during dispatch (and by Send() from
+    // Flush replies queued by handlers during dispatch (and by SendBytes() from
     // other threads), and drop kicked connections.
     FlushDirty();
   }
 }
 
-#else  // !__linux__ — portable poll(2) fallback, fd set rebuilt per loop.
-
-void MessageServer::PollerAdd(int, std::uint64_t) {}
-void MessageServer::PollerRemove(int) {}
-void MessageServer::PollerWantWrite(Connection&, ConnectionId, bool) {}
-
-void MessageServer::Run() {
-  {
-    MutexLock lock(mutex_);
-    reactor_tid_ = std::this_thread::get_id();
-  }
-  std::vector<pollfd> fds;
-  std::vector<std::uint64_t> keys;  // parallel to fds
-
-  for (;;) {
-    {
-      MutexLock lock(mutex_);
-      if (!running_) break;
-      fds.clear();
-      keys.clear();
-      fds.push_back({wake_read_.get(), POLLIN, 0});
-      keys.push_back(kWakeKey);
-      for (auto& [id, listener] : listeners_) {
-        fds.push_back({listener.socket->fd(), POLLIN, 0});
-        keys.push_back(ListenerKey(id));
-      }
-      for (auto& [id, conn] : connections_) {
-        short events = POLLIN;
-        if (!conn.write_queue.empty() || conn.closing) events |= POLLOUT;
-        fds.push_back({conn.fd.get(), events, 0});
-        keys.push_back(ConnectionKey(id));
-      }
-    }
-
-    const int ready = ::poll(fds.data(), fds.size(), 1000 /* ms */);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      CONVGPU_LOG(kError, kTag) << "poll failed: " << std::strerror(errno);
-      break;
-    }
-
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      const std::uint64_t key = keys[i];
-      const short revents = fds[i].revents;
-      if (revents == 0) continue;
-      if (key == kWakeKey) {
-        char sink[64];
-        while (::read(wake_read_.get(), sink, sizeof(sink)) > 0) {
-        }
-        continue;
-      }
-      if ((key & 1u) != 0) {
-        if ((revents & POLLIN) != 0) AcceptPending(key >> 1);
-        continue;
-      }
-      const ConnectionId id = key >> 1;
-      if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
-        HandleReadable(id);
-        DropConnection(id);
-        continue;
-      }
-      if ((revents & POLLIN) != 0) HandleReadable(id);
-      if ((revents & POLLOUT) != 0) HandleWritable(id);
-    }
-    FlushDirty();
-  }
-}
-
-#endif  // __linux__
 
 Result<std::unique_ptr<MessageClient>> MessageClient::ConnectUnix(
     const std::string& path) {
@@ -622,27 +503,6 @@ Result<std::string> MessageClient::RecvFrame(std::chrono::milliseconds timeout) 
     break;
   }
   return ReadFrame(fd_.get());
-}
-
-Status MessageClient::Send(const json::Json& message) {
-  return SendFrame(message.Dump());
-}
-
-Result<json::Json> MessageClient::Recv() {
-  auto frame = RecvFrame();
-  if (!frame.ok()) return frame.status();
-  return json::Json::Parse(*frame);
-}
-
-Result<json::Json> MessageClient::Recv(std::chrono::milliseconds timeout) {
-  auto frame = RecvFrame(timeout);
-  if (!frame.ok()) return frame.status();
-  return json::Json::Parse(*frame);
-}
-
-Result<json::Json> MessageClient::Call(const json::Json& request) {
-  CONVGPU_RETURN_IF_ERROR(Send(request));
-  return Recv();
 }
 
 void MessageClient::Shutdown() { ::shutdown(fd_.get(), SHUT_RDWR); }

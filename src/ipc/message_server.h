@@ -10,12 +10,12 @@
 // The critical requirement (paper §III-D): a memory-allocation request may
 // be *suspended* — no reply is sent until another container releases memory
 // — so the server decouples request receipt from reply: handlers get a
-// ConnectionId and any thread may Send() a reply later. A self-pipe wakes
-// the event loop when replies are queued from outside the reactor thread.
+// ConnectionId and any thread may SendBytes() a reply later. A self-pipe
+// wakes the event loop when replies are queued from outside the reactor
+// thread.
 //
-// On Linux the reactor runs a persistent epoll set (connections register
-// once; EPOLLOUT is armed only while a write queue is non-empty). Elsewhere
-// it falls back to rebuilding a poll(2) fd vector per iteration.
+// The reactor runs a persistent epoll set (connections register once;
+// EPOLLOUT is armed only while a write queue is non-empty).
 #pragma once
 
 #include <chrono>
@@ -33,7 +33,6 @@
 #include "common/result.h"
 #include "ipc/fd.h"
 #include "ipc/socket.h"
-#include "json/json.h"
 
 namespace convgpu::ipc {
 
@@ -44,10 +43,9 @@ using ListenerId = std::uint64_t;
 /// reactor carries *opaque frame payloads* — it peels length-prefixed
 /// frames off the stream and hands the raw bytes to the handler without
 /// interpreting them, so one reactor serves JSON and binary (codec.h)
-/// connections alike. JSON-only consumers use the *Json* conveniences,
-/// which parse and skip malformed frames exactly like the old reactor.
-/// Start() spawns the reactor thread; Stop() joins it. Handlers run on the
-/// reactor thread.
+/// connections alike; decoding, and skipping malformed payloads, is the
+/// handler's job. Start() spawns the reactor thread; Stop() joins it.
+/// Handlers run on the reactor thread.
 class MessageServer {
  public:
   /// Per-listener handlers: invoked for traffic on connections accepted on
@@ -55,13 +53,10 @@ class MessageServer {
   /// payload, header stripped, encoding uninterpreted.
   using MessageHandler =
       std::function<void(ListenerId, ConnectionId, std::string)>;
-  using JsonMessageHandler =
-      std::function<void(ListenerId, ConnectionId, json::Json)>;
   using DisconnectHandler = std::function<void(ListenerId, ConnectionId)>;
 
   /// Single-listener convenience signatures (see the two-argument Start()).
   using SimpleMessageHandler = std::function<void(ConnectionId, std::string)>;
-  using SimpleJsonHandler = std::function<void(ConnectionId, json::Json)>;
   using SimpleDisconnectHandler = std::function<void(ConnectionId)>;
 
   struct Options {
@@ -85,23 +80,12 @@ class MessageServer {
   Status Start(const std::string& path, SimpleMessageHandler on_message,
                SimpleDisconnectHandler on_disconnect = nullptr);
 
-  /// Start() convenience for JSON-only consumers: frames are parsed and
-  /// malformed ones logged + skipped (the connection survives).
-  Status StartJson(const std::string& path, SimpleJsonHandler on_message,
-                   SimpleDisconnectHandler on_disconnect = nullptr);
-
   /// Binds `path` and serves it on the shared reactor. Safe from any
   /// thread; fails with kFailedPrecondition once Stop() has begun (the
   /// listener fd is released, never leaked).
   Result<ListenerId> AddListener(const std::string& path,
                                  MessageHandler on_message,
                                  DisconnectHandler on_disconnect = nullptr);
-
-  /// AddListener for JSON-only consumers: parses each frame and skips
-  /// malformed ones (logged, connection kept) before invoking the handler.
-  Result<ListenerId> AddJsonListener(const std::string& path,
-                                     JsonMessageHandler on_message,
-                                     DisconnectHandler on_disconnect = nullptr);
 
   /// Closes the listening socket (unlinking its path) and disconnects its
   /// connections once their queued writes drain. kNotFound if unknown.
@@ -114,9 +98,6 @@ class MessageServer {
   /// connection just blew its write-queue cap (it is disconnected; the
   /// payload is not queued).
   Status SendBytes(ConnectionId conn, std::string_view payload);
-
-  /// JSON convenience over SendBytes.
-  Status Send(ConnectionId conn, const json::Json& message);
 
   /// Closes one connection (flushing already-queued writes first).
   void CloseConnection(ConnectionId conn);
@@ -181,12 +162,11 @@ class MessageServer {
   void HandleReadable(ConnectionId id);
   void HandleWritable(ConnectionId id);
   void DropConnection(ConnectionId id);
-  /// Services connections named by Send()/CloseConnection() since the last
-  /// iteration: flushes queues, drops kicked connections.
+  /// Services connections named by SendBytes()/CloseConnection() since the
+  /// last iteration: flushes queues, drops kicked connections.
   void FlushDirty();
 
-  // Registration with the platform poller. No-ops in the poll() fallback
-  // (which rebuilds its fd set every iteration).
+  // Registration with the epoll set.
   void PollerAdd(int fd, std::uint64_t key) REQUIRES(mutex_);
   void PollerRemove(int fd) REQUIRES(mutex_);
   /// Arms/disarms write-readiness for a connection.
@@ -195,7 +175,7 @@ class MessageServer {
 
   Options options_;
   Fd wake_read_, wake_write_;
-  Fd epoll_;  // valid only on Linux
+  Fd epoll_;
   std::thread reactor_;
 
   mutable Mutex mutex_;
@@ -205,15 +185,16 @@ class MessageServer {
   std::vector<ConnectionId> dirty_ GUARDED_BY(mutex_);  // need FlushDirty()
   std::uint64_t next_id_ GUARDED_BY(mutex_) = 1;  // connections & listeners
   std::string first_path_ GUARDED_BY(mutex_);
-  std::thread::id reactor_tid_ GUARDED_BY(mutex_);  // Send() skips Wake() when
-                                                    // already on the reactor
+  // SendBytes() skips the wake-up when already on the reactor thread.
+  std::thread::id reactor_tid_ GUARDED_BY(mutex_);
   bool running_ GUARDED_BY(mutex_) = false;
 };
 
-/// Blocking JSON-message client (used by the wrapper module, the customized
-/// nvidia-docker, and the plugin). A suspended allocation request simply
-/// blocks inside Call() until the scheduler finally replies — exactly the
-/// paper's "the response from the scheduler will be suspended".
+/// Blocking frame client (used by the wrapper module, the customized
+/// nvidia-docker, and the plugin, through protocol::Call/Notify). A
+/// suspended allocation request simply blocks in RecvFrame() until the
+/// scheduler finally replies — exactly the paper's "the response from the
+/// scheduler will be suspended".
 class MessageClient {
  public:
   static Result<std::unique_ptr<MessageClient>> ConnectUnix(
@@ -239,17 +220,9 @@ class MessageClient {
   /// Used for handshakes against a possibly-hung peer.
   Result<std::string> RecvFrame(std::chrono::milliseconds timeout);
 
-  /// JSON conveniences over the frame primitives. Recv fails (and the
-  /// caller typically abandons the connection) on a frame that is not
-  /// valid JSON.
-  Status Send(const json::Json& message);
-  Result<json::Json> Recv();
-  Result<json::Json> Recv(std::chrono::milliseconds timeout);
-  /// Send then block for exactly one reply.
-  Result<json::Json> Call(const json::Json& request);
-
   /// Shuts down both socket directions without closing the fd: a thread
-  /// blocked in Recv() wakes with EOF and later Send()s fail cleanly.
+  /// blocked in RecvFrame() wakes with EOF and later SendFrame()s fail
+  /// cleanly.
   /// How SocketSchedulerLink's demux reader is stopped; safe to call from
   /// any thread, idempotent.
   void Shutdown();
@@ -260,7 +233,7 @@ class MessageClient {
   explicit MessageClient(Fd fd) : fd_(std::move(fd)) {}
 
   Fd fd_;
-  Mutex write_mutex_;  // Send() may race with itself across threads
+  Mutex write_mutex_;  // SendFrame() may race with itself across threads
 };
 
 }  // namespace convgpu::ipc

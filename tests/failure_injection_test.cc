@@ -5,11 +5,13 @@
 
 #include <chrono>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "convgpu/codec.h"
 #include "convgpu/convgpu.h"
-#include "ipc/framing.h"
+#include "ipc/socket.h"
 #include "tests/test_util.h"
 
 namespace convgpu {
@@ -32,22 +34,52 @@ class FailureInjectionTest : public ::testing::Test {
   std::unique_ptr<SchedulerServer> server_;
 };
 
-TEST_F(FailureInjectionTest, GarbageFramesDoNotKillTheDaemon) {
-  auto fd = ipc::UnixConnect(server_->main_socket_path());
-  ASSERT_TRUE(fd.ok());
-  // Valid frame, invalid JSON.
-  ASSERT_TRUE(ipc::WriteFrame(fd->get(), "this is not json{{{").ok());
-  // Valid JSON, not a protocol message.
-  ASSERT_TRUE(ipc::WriteFrame(fd->get(), R"({"type":"flying-saucer"})").ok());
-  // Valid type, missing fields.
-  ASSERT_TRUE(ipc::WriteFrame(fd->get(), R"({"type":"alloc_request"})").ok());
+/// A ping over `client` must come back as a pong.
+void ExpectPong(ipc::MessageClient& client) {
+  auto reply = protocol::Expect<protocol::Pong>(
+      protocol::Call(client, protocol::Message(protocol::Ping{})));
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+}
 
-  // The daemon must still answer a well-formed request on a new connection.
-  auto client = ipc::MessageClient::ConnectUnix(server_->main_socket_path());
+/// Sends every kind of malformed payload down one connection to `path`,
+/// then pings on that same connection and on a fresh one: the daemon must
+/// skip each bad frame and keep both the connection and itself alive.
+void ExpectGarbageSkipped(const std::string& path) {
+  auto client = ipc::MessageClient::ConnectUnix(path);
   ASSERT_TRUE(client.ok());
-  auto reply = (*client)->Call(protocol::Serialize(protocol::Message(protocol::Ping{})));
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->GetString("type"), "pong");
+  const std::string garbage[] = {
+      "this is not json{{{",          // valid frame, invalid JSON
+      R"({"type":"flying-saucer"})",  // valid JSON, not a protocol message
+      R"({"type":"alloc_request"})",  // valid type, missing fields
+      // Binary magic and the alloc_request tag, then nothing: a truncated
+      // binary payload.
+      std::string{static_cast<char>(protocol::kBinaryMagic), '\x02'},
+  };
+  for (const std::string& payload : garbage) {
+    ASSERT_TRUE((*client)->SendFrame(payload).ok());
+  }
+  ExpectPong(**client);
+
+  auto fresh = ipc::MessageClient::ConnectUnix(path);
+  ASSERT_TRUE(fresh.ok());
+  ExpectPong(**fresh);
+}
+
+TEST_F(FailureInjectionTest, GarbageFramesDoNotKillTheDaemon) {
+  ExpectGarbageSkipped(server_->main_socket_path());
+
+  // The same sequence on a per-container socket.
+  auto main = ipc::MessageClient::ConnectUnix(server_->main_socket_path());
+  ASSERT_TRUE(main.ok());
+  protocol::RegisterContainer reg;
+  reg.container_id = "c1";
+  reg.memory_limit = 512_MiB;
+  auto registered = protocol::Expect<protocol::RegisterReply>(
+      protocol::Call(**main, protocol::Message(reg)));
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+  ASSERT_TRUE(registered->ok) << registered->error;
+  ExpectGarbageSkipped(registered->socket_path);
+  EXPECT_TRUE(server_->core().CheckInvariants().ok());
 }
 
 TEST_F(FailureInjectionTest, RawByteNoiseDropsOnlyThatConnection) {
@@ -59,8 +91,7 @@ TEST_F(FailureInjectionTest, RawByteNoiseDropsOnlyThatConnection) {
 
   auto client = ipc::MessageClient::ConnectUnix(server_->main_socket_path());
   ASSERT_TRUE(client.ok());
-  auto reply = (*client)->Call(protocol::Serialize(protocol::Message(protocol::Ping{})));
-  ASSERT_TRUE(reply.ok());
+  ExpectPong(**client);
 }
 
 TEST_F(FailureInjectionTest, SchedulerUnreachableMapsToDedicatedError) {
@@ -77,7 +108,7 @@ TEST_F(FailureInjectionTest, SchedulerStopWhileClientConnected) {
   ASSERT_TRUE(main.ok());
   server_->Stop();
   // A call against the stopped daemon errors out rather than hanging.
-  auto reply = (*main)->Call(protocol::Serialize(protocol::Message(protocol::Ping{})));
+  auto reply = protocol::Call(**main, protocol::Message(protocol::Ping{}));
   EXPECT_FALSE(reply.ok());
 }
 
@@ -86,10 +117,9 @@ TEST_F(FailureInjectionTest, CloseForUnknownContainerIsHarmless) {
   ASSERT_TRUE(client.ok());
   protocol::ContainerClose close;
   close.container_id = "never-existed";
-  ASSERT_TRUE((*client)->Send(protocol::Serialize(protocol::Message(close))).ok());
+  ASSERT_TRUE(protocol::Notify(**client, protocol::Message(close)).ok());
   // Daemon still alive and consistent.
-  auto reply = (*client)->Call(protocol::Serialize(protocol::Message(protocol::Ping{})));
-  ASSERT_TRUE(reply.ok());
+  ExpectPong(**client);
   EXPECT_TRUE(server_->core().CheckInvariants().ok());
 }
 
@@ -155,13 +185,12 @@ TEST_F(FailureInjectionTest, HalfOpenClientSuspendedForeverIsCancelable) {
   protocol::RegisterContainer reg;
   reg.container_id = "victim";
   reg.memory_limit = 2_GiB;
-  auto raw = (*main)->Call(protocol::Serialize(protocol::Message(reg)));
-  ASSERT_TRUE(raw.ok());
-  auto decoded = protocol::Parse(*raw);
-  const auto& reply = std::get<protocol::RegisterReply>(*decoded);
-  ASSERT_TRUE(reply.ok);
+  auto reply = protocol::Expect<protocol::RegisterReply>(
+      protocol::Call(**main, protocol::Message(reg)));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_TRUE(reply->ok);
 
-  auto victim = SocketSchedulerLink::Connect(reply.socket_path);
+  auto victim = SocketSchedulerLink::Connect(reply->socket_path);
   ASSERT_TRUE(victim.ok());
   std::thread waiter([&] {
     protocol::AllocRequest request;
@@ -182,7 +211,7 @@ TEST_F(FailureInjectionTest, HalfOpenClientSuspendedForeverIsCancelable) {
   }
   protocol::ContainerClose close;
   close.container_id = "victim";
-  ASSERT_TRUE((*main)->Send(protocol::Serialize(protocol::Message(close))).ok());
+  ASSERT_TRUE(protocol::Notify(**main, protocol::Message(close)).ok());
   waiter.join();
   EXPECT_EQ(server_->core().pending_request_count(), 0u);
 }

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <thread>
 
+#include "convgpu/codec.h"
 #include "ipc/framing.h"
 #include "ipc/message_server.h"
 #include "ipc/socket.h"
@@ -58,15 +59,26 @@ TEST(FramingTest, OversizedFrameRejected) {
 }
 
 TEST(FramingTest, JsonMessagesRoundTrip) {
+  // Framing carries encoded messages untouched: a JSON-encoded request
+  // comes out of ReadFrame byte-identical and decodes to the same message.
   auto pair = SocketPair();
   ASSERT_TRUE(pair.ok());
-  json::Json msg;
-  msg["type"] = "ping";
-  msg["n"] = 42;
-  ASSERT_TRUE(WriteMessage(pair->first.get(), msg).ok());
-  auto received = ReadMessage(pair->second.get());
+  protocol::AllocRequest request;
+  request.container_id = "c";
+  request.pid = 42;
+  request.size = 1 << 20;
+  request.api = "cudaMalloc";
+  const protocol::Message message(request);
+  const std::string payload =
+      protocol::EncodePayload(protocol::json_codec(), message, /*req_id=*/7);
+  ASSERT_TRUE(WriteFrame(pair->first.get(), payload).ok());
+  auto received = ReadFrame(pair->second.get());
   ASSERT_TRUE(received.ok());
-  EXPECT_EQ(*received, msg);
+  EXPECT_EQ(*received, payload);
+  auto decoded = protocol::DecodePayload(*received);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(*decoded == message);
+  EXPECT_EQ(protocol::PeekPayloadReqId(*received), 7u);
 }
 
 TEST(UnixListenerTest, AcceptsConnections) {
@@ -106,6 +118,12 @@ TEST(TcpTest, LoopbackRoundTrip) {
   client.join();
 }
 
+/// One request frame out, one reply frame back.
+Result<std::string> CallBytes(MessageClient& client, std::string_view request) {
+  CONVGPU_RETURN_IF_ERROR(client.SendFrame(request));
+  return client.RecvFrame();
+}
+
 class MessageServerTest : public ::testing::Test {
  protected:
   TempDir dir_;
@@ -116,21 +134,17 @@ class MessageServerTest : public ::testing::Test {
 
 TEST_F(MessageServerTest, EchoesImmediately) {
   ASSERT_TRUE(server_
-                  .StartJson(SocketPath(),
-                             [this](ConnectionId conn, json::Json msg) {
-                               msg["echoed"] = true;
-                               (void)server_.Send(conn, msg);
-                             })
+                  .Start(SocketPath(),
+                         [this](ConnectionId conn, std::string payload) {
+                           (void)server_.SendBytes(conn, "echo:" + payload);
+                         })
                   .ok());
 
   auto client = MessageClient::ConnectUnix(SocketPath());
   ASSERT_TRUE(client.ok());
-  json::Json request;
-  request["type"] = "ping";
-  auto reply = (*client)->Call(request);
+  auto reply = CallBytes(**client, "ping");
   ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->GetBool("echoed"), true);
-  EXPECT_EQ(reply->GetString("type"), "ping");
+  EXPECT_EQ(*reply, "echo:ping");
 }
 
 TEST_F(MessageServerTest, CarriesOpaqueBytes) {
@@ -162,45 +176,39 @@ TEST_F(MessageServerTest, DeferredReplyFromAnotherThread) {
   std::optional<ConnectionId> waiting;
 
   ASSERT_TRUE(server_
-                  .StartJson(SocketPath(),
-                             [&](ConnectionId conn, json::Json) {
-                               std::lock_guard lock(mutex);
-                               waiting = conn;
-                               cv.notify_one();
-                             })
+                  .Start(SocketPath(),
+                         [&](ConnectionId conn, std::string) {
+                           std::lock_guard lock(mutex);
+                           waiting = conn;
+                           cv.notify_one();
+                         })
                   .ok());
 
   std::thread releaser([&] {
     std::unique_lock lock(mutex);
     cv.wait(lock, [&] { return waiting.has_value(); });
-    json::Json reply;
-    reply["granted"] = true;
-    EXPECT_TRUE(server_.Send(*waiting, reply).ok());
+    EXPECT_TRUE(server_.SendBytes(*waiting, "granted").ok());
   });
 
   auto client = MessageClient::ConnectUnix(SocketPath());
   ASSERT_TRUE(client.ok());
-  json::Json request;
-  request["type"] = "alloc";
-  auto reply = (*client)->Call(request);  // blocks until the releaser acts
+  auto reply = CallBytes(**client, "alloc");  // blocks until the releaser acts
   ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->GetBool("granted"), true);
+  EXPECT_EQ(*reply, "granted");
   releaser.join();
 }
 
 TEST_F(MessageServerTest, DisconnectHandlerFires) {
   std::atomic<int> disconnects{0};
   ASSERT_TRUE(server_
-                  .StartJson(
-                      SocketPath(), [](ConnectionId, json::Json) {},
+                  .Start(
+                      SocketPath(), [](ConnectionId, std::string) {},
                       [&](ConnectionId) { ++disconnects; })
                   .ok());
   {
     auto client = MessageClient::ConnectUnix(SocketPath());
     ASSERT_TRUE(client.ok());
-    json::Json hello;
-    hello["type"] = "hello";
-    ASSERT_TRUE((*client)->Send(hello).ok());
+    ASSERT_TRUE((*client)->SendFrame("hello").ok());
   }  // client destroyed -> connection closes
   for (int i = 0; i < 200 && disconnects.load() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -211,11 +219,11 @@ TEST_F(MessageServerTest, DisconnectHandlerFires) {
 TEST_F(MessageServerTest, ManyConcurrentClients) {
   std::atomic<int> received{0};
   ASSERT_TRUE(server_
-                  .StartJson(SocketPath(),
-                             [&](ConnectionId conn, json::Json msg) {
-                               ++received;
-                               (void)server_.Send(conn, msg);
-                             })
+                  .Start(SocketPath(),
+                         [&](ConnectionId conn, std::string payload) {
+                           ++received;
+                           (void)server_.SendBytes(conn, payload);
+                         })
                   .ok());
   constexpr int kClients = 16;
   constexpr int kMessages = 20;
@@ -226,12 +234,11 @@ TEST_F(MessageServerTest, ManyConcurrentClients) {
       auto client = MessageClient::ConnectUnix(SocketPath());
       ASSERT_TRUE(client.ok());
       for (int m = 0; m < kMessages; ++m) {
-        json::Json request;
-        request["client"] = c;
-        request["seq"] = m;
-        auto reply = (*client)->Call(request);
+        const std::string request =
+            std::to_string(c) + ":" + std::to_string(m);
+        auto reply = CallBytes(**client, request);
         ASSERT_TRUE(reply.ok());
-        EXPECT_EQ(reply->GetInt("seq"), m);
+        EXPECT_EQ(*reply, request);
       }
     });
   }
@@ -241,15 +248,13 @@ TEST_F(MessageServerTest, ManyConcurrentClients) {
 
 TEST_F(MessageServerTest, SendToUnknownConnectionIsNotFound) {
   ASSERT_TRUE(
-      server_.StartJson(SocketPath(), [](ConnectionId, json::Json) {}).ok());
-  json::Json msg;
-  msg["x"] = 1;
-  EXPECT_EQ(server_.Send(9999, msg).code(), StatusCode::kNotFound);
+      server_.Start(SocketPath(), [](ConnectionId, std::string) {}).ok());
+  EXPECT_EQ(server_.SendBytes(9999, "x").code(), StatusCode::kNotFound);
 }
 
 TEST_F(MessageServerTest, StopIsIdempotent) {
   ASSERT_TRUE(
-      server_.StartJson(SocketPath(), [](ConnectionId, json::Json) {}).ok());
+      server_.Start(SocketPath(), [](ConnectionId, std::string) {}).ok());
   server_.Stop();
   server_.Stop();
 }
@@ -262,12 +267,11 @@ TEST_F(MessageServerTest, MultipleListenersShareOneReactor) {
   std::atomic<int> disconnects{0};
   auto add = [&](const std::string& path,
                  const std::string& tag) -> ListenerId {
-    auto id = server_.AddJsonListener(
+    auto id = server_.AddListener(
         path,
-        [&, tag](ListenerId listener, ConnectionId conn, json::Json msg) {
-          msg["tag"] = tag;
-          msg["listener"] = static_cast<std::int64_t>(listener);
-          (void)server_.Send(conn, msg);
+        [&, tag](ListenerId listener, ConnectionId conn, std::string) {
+          (void)server_.SendBytes(conn,
+                                  tag + ":" + std::to_string(listener));
         },
         [&](ListenerId, ConnectionId) { ++disconnects; });
     EXPECT_TRUE(id.ok()) << id.status().ToString();
@@ -282,23 +286,19 @@ TEST_F(MessageServerTest, MultipleListenersShareOneReactor) {
   EXPECT_EQ(server_.listener_path(a), path_a);
   EXPECT_EQ(server_.listener_path(b), path_b);
 
-  json::Json request;
-  request["type"] = "ping";
   {
     auto client = MessageClient::ConnectUnix(path_a);
     ASSERT_TRUE(client.ok());
-    auto reply = (*client)->Call(request);
+    auto reply = CallBytes(**client, "ping");
     ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply->GetString("tag"), "alpha");
-    EXPECT_EQ(reply->GetInt("listener"), static_cast<std::int64_t>(a));
+    EXPECT_EQ(*reply, "alpha:" + std::to_string(a));
   }
   {
     auto client = MessageClient::ConnectUnix(path_b);
     ASSERT_TRUE(client.ok());
-    auto reply = (*client)->Call(request);
+    auto reply = CallBytes(**client, "ping");
     ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply->GetString("tag"), "beta");
-    EXPECT_EQ(reply->GetInt("listener"), static_cast<std::int64_t>(b));
+    EXPECT_EQ(*reply, "beta:" + std::to_string(b));
   }
   for (int i = 0; i < 200 && disconnects.load() < 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -309,10 +309,10 @@ TEST_F(MessageServerTest, MultipleListenersShareOneReactor) {
 TEST_F(MessageServerTest, RemoveListenerUnlinksPathAndDropsConnections) {
   ASSERT_TRUE(server_.Start().ok());
   std::atomic<int> disconnects{0};
-  auto id = server_.AddJsonListener(
+  auto id = server_.AddListener(
       SocketPath(),
-      [&](ListenerId, ConnectionId conn, json::Json msg) {
-        (void)server_.Send(conn, msg);
+      [&](ListenerId, ConnectionId conn, std::string payload) {
+        (void)server_.SendBytes(conn, payload);
       },
       [&](ListenerId, ConnectionId) { ++disconnects; });
   ASSERT_TRUE(id.ok());
@@ -322,9 +322,7 @@ TEST_F(MessageServerTest, RemoveListenerUnlinksPathAndDropsConnections) {
   // Round-trip first so the connection is accepted onto the reactor (a
   // connection still in the listen backlog is simply reset with the
   // listening socket — no disconnect callback for something never served).
-  json::Json hello;
-  hello["type"] = "hello";
-  ASSERT_TRUE((*client)->Call(hello).ok());
+  ASSERT_TRUE(CallBytes(**client, "hello").ok());
 
   ASSERT_TRUE(server_.RemoveListener(*id).ok());
   EXPECT_EQ(server_.listener_count(), 0u);
@@ -341,7 +339,7 @@ TEST_F(MessageServerTest, RemoveListenerUnlinksPathAndDropsConnections) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(disconnects.load(), 1);
-  EXPECT_EQ((*client)->Recv().status().code(), StatusCode::kAborted);
+  EXPECT_EQ((*client)->RecvFrame().status().code(), StatusCode::kAborted);
 }
 
 TEST_F(MessageServerTest, HandlersSurviveRemoveListenerForLiveConnections) {
@@ -349,13 +347,13 @@ TEST_F(MessageServerTest, HandlersSurviveRemoveListenerForLiveConnections) {
   // listener (or this one) must not leave live connections with dangling
   // handlers. Exercised here by removing listener B while A still chats.
   ASSERT_TRUE(server_.Start().ok());
-  auto a = server_.AddJsonListener(
+  auto a = server_.AddListener(
       dir_.path() + "/a.sock",
-      [&](ListenerId, ConnectionId conn, json::Json msg) {
-        (void)server_.Send(conn, msg);
+      [&](ListenerId, ConnectionId conn, std::string payload) {
+        (void)server_.SendBytes(conn, payload);
       });
-  auto b = server_.AddJsonListener(dir_.path() + "/b.sock",
-                                   [](ListenerId, ConnectionId, json::Json) {});
+  auto b = server_.AddListener(dir_.path() + "/b.sock",
+                               [](ListenerId, ConnectionId, std::string) {});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
 
@@ -363,16 +361,14 @@ TEST_F(MessageServerTest, HandlersSurviveRemoveListenerForLiveConnections) {
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(server_.RemoveListener(*b).ok());
 
-  json::Json request;
-  request["seq"] = 7;
-  auto reply = (*client)->Call(request);
+  auto reply = CallBytes(**client, "seq:7");
   ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->GetInt("seq"), 7);
+  EXPECT_EQ(*reply, "seq:7");
 }
 
 TEST(MessageServerBackpressureTest, SlowConsumerIsDisconnected) {
   // A consumer that never reads must not grow the daemon's write queues
-  // unboundedly: once the per-connection cap trips, Send() reports
+  // unboundedly: once the per-connection cap trips, SendBytes() reports
   // kResourceExhausted and the connection is kicked.
   TempDir dir;
   MessageServer::Options options;
@@ -385,9 +381,9 @@ TEST(MessageServerBackpressureTest, SlowConsumerIsDisconnected) {
   std::atomic<int> disconnects{0};
   const std::string path = dir.path() + "/srv.sock";
   ASSERT_TRUE(server
-                  .StartJson(
+                  .Start(
                       path,
-                      [&](ConnectionId conn, json::Json) {
+                      [&](ConnectionId conn, std::string) {
                         std::lock_guard lock(mutex);
                         victim = conn;
                         cv.notify_one();
@@ -397,9 +393,7 @@ TEST(MessageServerBackpressureTest, SlowConsumerIsDisconnected) {
 
   auto client = MessageClient::ConnectUnix(path);
   ASSERT_TRUE(client.ok());
-  json::Json hello;
-  hello["type"] = "hello";
-  ASSERT_TRUE((*client)->Send(hello).ok());
+  ASSERT_TRUE((*client)->SendFrame("hello").ok());
   {
     std::unique_lock lock(mutex);
     cv.wait(lock, [&] { return victim.has_value(); });
@@ -407,11 +401,10 @@ TEST(MessageServerBackpressureTest, SlowConsumerIsDisconnected) {
 
   // Flood the non-reading client until the cap trips. The socket's kernel
   // buffers absorb some; the 64 KiB queue cap bounds the rest.
-  json::Json blob;
-  blob["payload"] = std::string(8 * 1024, 'x');
+  const std::string blob(8 * 1024, 'x');
   Status status = Status::Ok();
   for (int i = 0; i < 1000 && status.ok(); ++i) {
-    status = server.Send(*victim, blob);
+    status = server.SendBytes(*victim, blob);
   }
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
 
@@ -420,46 +413,44 @@ TEST(MessageServerBackpressureTest, SlowConsumerIsDisconnected) {
   }
   EXPECT_EQ(disconnects.load(), 1);
   // The connection is gone for good: further sends are kNotFound.
-  for (int i = 0; i < 200 && server.Send(*victim, blob).code() !=
+  for (int i = 0; i < 200 && server.SendBytes(*victim, blob).code() !=
                                  StatusCode::kNotFound;
        ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_EQ(server.Send(*victim, blob).code(), StatusCode::kNotFound);
+  EXPECT_EQ(server.SendBytes(*victim, blob).code(), StatusCode::kNotFound);
 }
 
 TEST(MessageClientTest, ShutdownTwiceIsSafeAndWakesBlockedRecv) {
   // Shutdown() is documented idempotent and callable from any thread: the
   // demux reader calls it on teardown while the reconnect worker may call
   // it again on a send failure. Both orders must leave a client whose
-  // blocked Recv() has woken and whose later calls fail cleanly.
+  // blocked RecvFrame() has woken and whose later calls fail cleanly.
   TempDir dir;
   MessageServer server;
   const std::string path = dir.path() + "/srv.sock";
-  ASSERT_TRUE(server.StartJson(path, [](ConnectionId, json::Json) {}).ok());
+  ASSERT_TRUE(server.Start(path, [](ConnectionId, std::string) {}).ok());
 
   auto client = MessageClient::ConnectUnix(path);
   ASSERT_TRUE(client.ok());
   std::thread reader([&] {
-    auto frame = (*client)->Recv();  // blocks: the server never replies
+    auto frame = (*client)->RecvFrame();  // blocks: the server never replies
     EXPECT_FALSE(frame.ok());
   });
   (*client)->Shutdown();
   reader.join();
   (*client)->Shutdown();  // second call: no crash, no error
 
-  json::Json message;
-  message["type"] = "late";
-  EXPECT_FALSE((*client)->Send(message).ok());
-  EXPECT_FALSE((*client)->Recv().ok());
+  EXPECT_FALSE((*client)->SendFrame("late").ok());
+  EXPECT_FALSE((*client)->RecvFrame().ok());
 }
 
 TEST(MessageServerRaceTest, RemoveListenerRacesUndeliveredDeferredReply) {
   // The scheduler holds a suspended alloc's (listener, connection) pair and
   // answers much later, possibly while ContainerClose is tearing the
-  // listener down. Send() racing RemoveListener() must resolve to delivery
-  // or kNotFound — never a crash, deadlock, or use-after-free (this runs
-  // under the TSan/ASan legs of tools/check.sh).
+  // listener down. SendBytes() racing RemoveListener() must resolve to
+  // delivery or kNotFound — never a crash, deadlock, or use-after-free (this
+  // runs under the TSan/ASan legs of tools/check.sh).
   for (int round = 0; round < 50; ++round) {
     TempDir dir;
     MessageServer server;
@@ -468,9 +459,9 @@ TEST(MessageServerRaceTest, RemoveListenerRacesUndeliveredDeferredReply) {
     std::mutex mutex;
     std::condition_variable cv;
     std::optional<ConnectionId> conn;
-    auto listener = server.AddJsonListener(
+    auto listener = server.AddListener(
         dir.path() + "/srv.sock",
-        [&](ListenerId, ConnectionId c, json::Json) {
+        [&](ListenerId, ConnectionId c, std::string) {
           std::lock_guard lock(mutex);
           conn = c;
           cv.notify_one();
@@ -479,28 +470,24 @@ TEST(MessageServerRaceTest, RemoveListenerRacesUndeliveredDeferredReply) {
 
     auto client = MessageClient::ConnectUnix(dir.path() + "/srv.sock");
     ASSERT_TRUE(client.ok());
-    json::Json request;
-    request["type"] = "alloc";
-    ASSERT_TRUE((*client)->Send(request).ok());
+    ASSERT_TRUE((*client)->SendFrame("alloc").ok());
     {
       std::unique_lock lock(mutex);
       cv.wait(lock, [&] { return conn.has_value(); });
     }
 
     // The deferred grant fires on its own thread, racing the removal.
-    json::Json grant;
-    grant["granted"] = true;
     std::thread deferred([&] {
-      const Status sent = server.Send(*conn, grant);
+      const Status sent = server.SendBytes(*conn, "granted");
       EXPECT_TRUE(sent.ok() || sent.code() == StatusCode::kNotFound)
           << sent.ToString();
     });
     ASSERT_TRUE(server.RemoveListener(*listener).ok());
     deferred.join();
     // The client saw the grant or a clean EOF — nothing else.
-    auto got = (*client)->Recv();
+    auto got = (*client)->RecvFrame();
     if (got.ok()) {
-      EXPECT_EQ(got->GetBool("granted"), true);
+      EXPECT_EQ(*got, "granted");
     }
     server.Stop();
   }
@@ -520,32 +507,29 @@ TEST(MessageServerBackpressureTest, KicksAreCountedPerListener) {
   std::mutex mutex;
   std::condition_variable cv;
   std::optional<ConnectionId> victim;
-  auto on_message = [&](ListenerId, ConnectionId conn, json::Json) {
+  auto on_message = [&](ListenerId, ConnectionId conn, std::string) {
     std::lock_guard lock(mutex);
     victim = conn;
     cv.notify_one();
   };
-  auto quiet = server.AddJsonListener(dir.path() + "/quiet.sock", on_message);
+  auto quiet = server.AddListener(dir.path() + "/quiet.sock", on_message);
   ASSERT_TRUE(quiet.ok());
-  auto busy = server.AddJsonListener(dir.path() + "/busy.sock", on_message);
+  auto busy = server.AddListener(dir.path() + "/busy.sock", on_message);
   ASSERT_TRUE(busy.ok());
 
   auto client = MessageClient::ConnectUnix(dir.path() + "/busy.sock");
   ASSERT_TRUE(client.ok());
-  json::Json hello;
-  hello["type"] = "hello";
-  ASSERT_TRUE((*client)->Send(hello).ok());
+  ASSERT_TRUE((*client)->SendFrame("hello").ok());
   {
     std::unique_lock lock(mutex);
     cv.wait(lock, [&] { return victim.has_value(); });
   }
 
   EXPECT_EQ(server.total_kicked_connections(), 0u);
-  json::Json blob;
-  blob["payload"] = std::string(8 * 1024, 'x');
+  const std::string blob(8 * 1024, 'x');
   Status status = Status::Ok();
   for (int i = 0; i < 1000 && status.ok(); ++i) {
-    status = server.Send(*victim, blob);
+    status = server.SendBytes(*victim, blob);
   }
   ASSERT_EQ(status.code(), StatusCode::kResourceExhausted);
 
@@ -572,9 +556,9 @@ TEST(MessageServerRaceTest, AddListenerDuringStopFailsCleanly) {
 
     std::thread adder([&] {
       for (int i = 0; i < 8; ++i) {
-        auto id = server.AddJsonListener(
+        auto id = server.AddListener(
             dir.path() + "/race-" + std::to_string(i) + ".sock",
-            [](ListenerId, ConnectionId, json::Json) {});
+            [](ListenerId, ConnectionId, std::string) {});
         if (!id.ok()) {
           EXPECT_EQ(id.status().code(), StatusCode::kFailedPrecondition);
         }
@@ -586,9 +570,8 @@ TEST(MessageServerRaceTest, AddListenerDuringStopFailsCleanly) {
     // Either way the server restarts from scratch without tripping over
     // leftover state.
     ASSERT_TRUE(server.Start().ok());
-    auto id =
-        server.AddJsonListener(dir.path() + "/after.sock",
-                               [](ListenerId, ConnectionId, json::Json) {});
+    auto id = server.AddListener(dir.path() + "/after.sock",
+                                 [](ListenerId, ConnectionId, std::string) {});
     EXPECT_TRUE(id.ok()) << id.status().ToString();
     server.Stop();
   }

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
 #include <string>
+#include <string_view>
 #include <variant>
+#include <vector>
 
 #include "common/rng.h"
 #include "convgpu/codec.h"
@@ -15,15 +19,13 @@ using namespace convgpu::literals;
 
 template <typename T>
 T RoundTrip(const T& message) {
-  const json::Json encoded = Serialize(Message(message));
-  // Through actual bytes, like the socket path does.
-  auto reparsed = json::Json::Parse(encoded.Dump());
-  EXPECT_TRUE(reparsed.ok());
-  auto decoded = Parse(*reparsed);
+  // Through actual JSON bytes, like the socket path does.
+  auto decoded = DecodePayload(EncodePayload(json_codec(), Message(message)));
   EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  if (!decoded.ok()) return T{};
   const T* typed = std::get_if<T>(&*decoded);
   EXPECT_NE(typed, nullptr) << "wrong alternative after round trip";
-  return *typed;
+  return typed != nullptr ? *typed : T{};
 }
 
 TEST(ProtocolTest, RegisterContainerRoundTrip) {
@@ -154,9 +156,9 @@ TEST(ProtocolTest, StatsReplyRoundTrip) {
 // --- Request correlation ----------------------------------------------------
 
 TEST(ProtocolTest, ReqIdSurvivesEveryMessageType) {
-  // Every alternative in the variant, serialized with a correlation id,
-  // through actual bytes: the id must be peekable on the far side and the
-  // payload must still parse to the same alternative.
+  // Every alternative in the variant, encoded as JSON with a correlation
+  // id: the id must be peekable on the far side and the payload must still
+  // decode to the same alternative.
   const std::vector<Message> one_of_each = {
       Message(RegisterContainer{}), Message(RegisterReply{}),
       Message(AllocRequest{}),      Message(AllocReply{}),
@@ -170,10 +172,9 @@ TEST(ProtocolTest, ReqIdSurvivesEveryMessageType) {
   ReqId next = 1;
   for (const Message& message : one_of_each) {
     const ReqId id = next++;
-    auto reparsed = json::Json::Parse(Serialize(message, id).Dump());
-    ASSERT_TRUE(reparsed.ok());
-    EXPECT_EQ(PeekReqId(*reparsed), id) << TypeName(message);
-    auto decoded = Parse(*reparsed);
+    const std::string bytes = EncodePayload(json_codec(), message, id);
+    EXPECT_EQ(PeekPayloadReqId(bytes), id) << TypeName(message);
+    auto decoded = DecodePayload(bytes);
     ASSERT_TRUE(decoded.ok()) << TypeName(message) << ": "
                               << decoded.status().ToString();
     EXPECT_EQ(decoded->index(), message.index()) << TypeName(message);
@@ -181,64 +182,69 @@ TEST(ProtocolTest, ReqIdSurvivesEveryMessageType) {
 }
 
 TEST(ProtocolTest, IdlessFramesStayValid) {
-  // The pre-correlation protocol: no "req_id" field at all. Old peers emit
-  // exactly these frames and they must keep parsing.
-  const json::Json frame = Serialize(Message(Ping{}));
-  EXPECT_EQ(PeekReqId(frame), std::nullopt);
-  EXPECT_TRUE(Parse(frame).ok());
-  // Serializing with an empty id is byte-identical to the plain encoding.
-  EXPECT_EQ(Serialize(Message(Ping{}), std::nullopt).Dump(), frame.Dump());
+  // The pre-correlation protocol: no "req_id" key at all. Old peers emit
+  // exactly these frames and they must keep decoding.
+  const std::string frame = EncodePayload(json_codec(), Message(Ping{}));
+  EXPECT_EQ(frame, R"({"type":"ping"})");
+  EXPECT_EQ(PeekPayloadReqId(frame), std::nullopt);
+  EXPECT_TRUE(DecodePayload(frame).ok());
   AllocRequest request;
   request.container_id = "c";
   request.pid = 3;
   request.size = 1_MiB;
-  EXPECT_EQ(Serialize(Message(request), std::nullopt).Dump(),
-            Serialize(Message(request)).Dump());
+  const std::string plain = EncodePayload(json_codec(), Message(request));
+  EXPECT_EQ(plain.find("req_id"), std::string::npos);
+  EXPECT_EQ(PeekPayloadReqId(plain), std::nullopt);
+  // The binary encoding carries "no id" as 0 and peeks back as empty too.
+  EXPECT_EQ(PeekPayloadReqId(EncodePayload(binary_codec(), Message(request))),
+            std::nullopt);
 }
 
 TEST(ProtocolTest, PeekReqIdRejectsMalformedIds) {
-  EXPECT_EQ(PeekReqId(json::Json(42)), std::nullopt);  // not even an object
-  EXPECT_EQ(PeekReqId(*json::Json::Parse(R"({"type":"ping"})")), std::nullopt);
-  EXPECT_EQ(PeekReqId(*json::Json::Parse(R"({"type":"ping","req_id":-3})")),
-            std::nullopt);
-  EXPECT_EQ(PeekReqId(*json::Json::Parse(R"({"type":"ping","req_id":"x"})")),
-            std::nullopt);
-  // And a malformed id does not break payload parsing.
-  EXPECT_TRUE(
-      Parse(*json::Json::Parse(R"({"type":"ping","req_id":"x"})")).ok());
+  const Codec& json = json_codec();
+  EXPECT_EQ(json.PeekReqId("42"), std::nullopt);  // not even an object
+  EXPECT_EQ(json.PeekReqId("not json{"), std::nullopt);
+  EXPECT_EQ(json.PeekReqId(R"({"type":"ping"})"), std::nullopt);
+  EXPECT_EQ(json.PeekReqId(R"({"type":"ping","req_id":-3})"), std::nullopt);
+  EXPECT_EQ(json.PeekReqId(R"({"type":"ping","req_id":"x"})"), std::nullopt);
+  // And a malformed id does not break payload decoding.
+  EXPECT_TRUE(json.Decode(R"({"type":"ping","req_id":"x"})").ok());
 }
 
 TEST(ProtocolTest, DispatchWithReqIdFillsItBeforeVisiting) {
   std::optional<ReqId> req_id;
   ReqId seen_inside = 0;
-  auto status = Dispatch(Serialize(Message(Ping{}), 41),
-                         req_id,
-                         Visitor{
-                             [&](const Ping&) { seen_inside = *req_id; },
-                             [&](const auto&) {},
-                         });
+  auto status = DispatchFrame(EncodePayload(json_codec(), Message(Ping{}), 41),
+                              req_id,
+                              Visitor{
+                                  [&](const Ping&) { seen_inside = *req_id; },
+                                  [&](const auto&) {},
+                              });
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(req_id, 41u);
   EXPECT_EQ(seen_inside, 41u);  // already filled when the visitor ran
 
   // A malformed frame still reports its id even though the visitor never
   // runs — the server can address its error handling to the right request.
-  status = Dispatch(*json::Json::Parse(R"({"type":"alloc_request","req_id":9})"),
-                    req_id, Visitor{[&](const auto&) {}});
+  status = DispatchFrame(R"({"type":"alloc_request","req_id":9})", req_id,
+                         Visitor{[&](const auto&) {}});
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(req_id, 9u);
 }
 
 TEST(ProtocolTest, ParseRejectsGarbage) {
-  EXPECT_FALSE(Parse(json::Json(42)).ok());
-  EXPECT_FALSE(Parse(*json::Json::Parse(R"({"no_type":1})")).ok());
-  EXPECT_FALSE(Parse(*json::Json::Parse(R"({"type":"martian"})")).ok());
+  const Codec& json = json_codec();
+  EXPECT_FALSE(json.Decode("this is not json{{{").ok());
+  EXPECT_FALSE(json.Decode("42").ok());
+  EXPECT_FALSE(json.Decode(R"({"no_type":1})").ok());
+  EXPECT_FALSE(json.Decode(R"({"type":"martian"})").ok());
   // Required fields missing.
-  EXPECT_FALSE(Parse(*json::Json::Parse(R"({"type":"alloc_request"})")).ok());
-  EXPECT_FALSE(
-      Parse(*json::Json::Parse(R"({"type":"alloc_request","pid":1,"size":2})"))
-          .ok());
-  EXPECT_FALSE(Parse(*json::Json::Parse(R"({"type":"container_close"})")).ok());
+  EXPECT_FALSE(json.Decode(R"({"type":"alloc_request"})").ok());
+  EXPECT_FALSE(json.Decode(R"({"type":"alloc_request","pid":1,"size":2})").ok());
+  EXPECT_FALSE(json.Decode(R"({"type":"container_close"})").ok());
+  // Every rejection is typed.
+  EXPECT_EQ(json.Decode(R"({"type":"martian"})").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ProtocolTest, TypeNamesMatchWire) {
@@ -246,7 +252,9 @@ TEST(ProtocolTest, TypeNamesMatchWire) {
   EXPECT_EQ(TypeName(Message(AllocRequest{})), "alloc_request");
   EXPECT_EQ(TypeName(Message(StatsReply{})), "stats_reply");
   AllocRequest m;
-  EXPECT_EQ(Serialize(Message(m)).GetString("type"), "alloc_request");
+  EXPECT_NE(EncodePayload(json_codec(), Message(m))
+                .find(R"("type":"alloc_request")"),
+            std::string::npos);
 }
 
 TEST(ProtocolTest, DispatchRoutesToMatchingArm) {
@@ -257,42 +265,48 @@ TEST(ProtocolTest, DispatchRoutesToMatchingArm) {
 
   std::string hit;
   Bytes seen_size = 0;
-  auto status = Dispatch(Serialize(Message(request)),
-                         Visitor{
-                             [&](const AllocRequest& m) {
-                               hit = "alloc";
-                               seen_size = m.size;
-                             },
-                             [&](const Ping&) { hit = "ping"; },
-                             [&](const auto&) { hit = "other"; },
-                         });
+  std::optional<ReqId> req_id;
+  auto status = DispatchFrame(EncodePayload(json_codec(), Message(request)),
+                              req_id,
+                              Visitor{
+                                  [&](const AllocRequest& m) {
+                                    hit = "alloc";
+                                    seen_size = m.size;
+                                  },
+                                  [&](const Ping&) { hit = "ping"; },
+                                  [&](const auto&) { hit = "other"; },
+                              });
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(hit, "alloc");
   EXPECT_EQ(seen_size, 64_MiB);
+  EXPECT_EQ(req_id, std::nullopt);
 }
 
 TEST(ProtocolTest, DispatchFallsThroughToGenericArm) {
   std::string hit;
-  auto status = Dispatch(Serialize(Message(Pong{})),
-                         Visitor{
-                             [&](const AllocRequest&) { hit = "alloc"; },
-                             [&](const auto& other) {
-                               hit = std::string(TypeName(Message(other)));
-                             },
-                         });
+  std::optional<ReqId> req_id;
+  auto status = DispatchFrame(EncodePayload(json_codec(), Message(Pong{})),
+                              req_id,
+                              Visitor{
+                                  [&](const AllocRequest&) { hit = "alloc"; },
+                                  [&](const auto& other) {
+                                    hit = std::string(TypeName(Message(other)));
+                                  },
+                              });
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(hit, "pong");
 }
 
 TEST(ProtocolTest, DispatchRejectsMalformedFrameWithoutVisiting) {
   bool visited = false;
-  auto status = Dispatch(*json::Json::Parse(R"({"type":"alloc_request"})"),
-                         Visitor{[&](const auto&) { visited = true; }});
+  std::optional<ReqId> req_id;
+  auto status = DispatchFrame(R"({"type":"alloc_request"})", req_id,
+                              Visitor{[&](const auto&) { visited = true; }});
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(visited);
 
-  status = Dispatch(json::Json(42),
-                    Visitor{[&](const auto&) { visited = true; }});
+  status = DispatchFrame("42", req_id,
+                         Visitor{[&](const auto&) { visited = true; }});
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(visited);
 }
@@ -503,11 +517,9 @@ TEST(ProtocolPropertyTest, RandomizedRoundTripsAreExact) {
     if (rng.UniformBelow(2) == 0) {
       req_id = 1 + static_cast<ReqId>(rng.UniformBelow(kMaxWireReqId));
     }
-    const std::string bytes = Serialize(message, req_id).Dump();
-    auto reparsed = json::Json::Parse(bytes);
-    ASSERT_TRUE(reparsed.ok()) << bytes;
-    EXPECT_EQ(PeekReqId(*reparsed), req_id) << bytes;
-    auto decoded = Parse(*reparsed);
+    const std::string bytes = EncodePayload(json_codec(), message, req_id);
+    EXPECT_EQ(json_codec().PeekReqId(bytes), req_id) << bytes;
+    auto decoded = json_codec().Decode(bytes);
     ASSERT_TRUE(decoded.ok())
         << TypeName(message) << ": " << decoded.status().ToString();
     EXPECT_TRUE(*decoded == message)
@@ -516,16 +528,13 @@ TEST(ProtocolPropertyTest, RandomizedRoundTripsAreExact) {
   }
 }
 
-// Feeds a mangled frame through the full receive path. Json::Parse may
-// reject it outright (fine); a frame that still parses as JSON must be
-// either dispatched or rejected as kInvalidArgument — never anything that
-// crashes, throws, or reports a misleading status code.
+// Feeds a mangled frame through the full receive path: it must be either
+// dispatched or rejected as kInvalidArgument — never anything that crashes,
+// throws, or reports a misleading status code.
 void DispatchCorrupted(const std::string& bytes) {
-  auto parsed = json::Json::Parse(bytes);
-  if (!parsed.ok()) return;
   std::optional<ReqId> req_id;
   const Status status =
-      Dispatch(*parsed, req_id, Visitor{[](const auto&) {}});
+      DispatchFrame(bytes, req_id, Visitor{[](const auto&) {}});
   EXPECT_TRUE(status.ok() || status.code() == StatusCode::kInvalidArgument)
       << status.ToString() << " for: " << bytes;
 }
@@ -537,7 +546,7 @@ TEST(ProtocolPropertyTest, CorruptedFramesNeverCrashDispatch) {
     const Message message =
         RandomMessage(rng, static_cast<std::size_t>(i) % kVariantCount);
     const std::string bytes =
-        Serialize(message, static_cast<ReqId>(i + 1)).Dump();
+        EncodePayload(json_codec(), message, static_cast<ReqId>(i + 1));
     // Truncations: a peer that died mid-write.
     for (const std::size_t cut :
          {bytes.size() / 4, bytes.size() / 2, bytes.size() - 1}) {
@@ -610,23 +619,230 @@ TEST(CodecPropertyTest, BinaryRoundTripsAreExact) {
   }
 }
 
-TEST(CodecPropertyTest, JsonCodecMatchesTheTreeWriterByteForByte) {
-  // JsonCodec::Encode is a direct text writer on the hot path; an old peer
-  // must not be able to tell it from Serialize().Dump() — same keys, same
-  // order, same number formatting, byte for byte.
-  Rng rng(0xC0FFEE);
-  constexpr int kIterations = 1500;
-  for (int i = 0; i < kIterations; ++i) {
-    const Message message =
-        RandomMessage(rng, static_cast<std::size_t>(i) % kVariantCount);
-    std::optional<ReqId> req_id;
-    if (rng.UniformBelow(2) == 0) {
-      req_id = 1 + static_cast<ReqId>(rng.UniformBelow(kMaxWireReqId));
-    }
-    const std::string direct = EncodePayload(json_codec(), message, req_id);
-    const std::string tree = Serialize(message, req_id).Dump();
-    ASSERT_EQ(direct, tree) << "iteration " << i << ", " << TypeName(message);
+struct GoldenInput {
+  Message message;
+  std::optional<ReqId> req_id;
+};
+
+// Every variant with every optional key present, once without and once
+// with a correlation id, then the variants whose optional keys (an absent
+// memory_limit, an empty error, binary=false) are omitted from the wire.
+std::vector<GoldenInput> GoldenInputs() {
+  const std::uint64_t kAddress = 0x7000'0000'1234ULL;
+  const std::uint64_t kEpoch = 0xFEED'FACE'CAFEULL;
+  const std::vector<Message> full = {
+      RegisterContainer{.container_id = "job-1", .memory_limit = 512_MiB},
+      RegisterReply{.ok = false,
+                    .error = "name \"job-1\" taken\\retry\n",
+                    .socket_dir = "/run/convgpu/job-1",
+                    .socket_path = "/run/convgpu/job-1/convgpu.sock"},
+      AllocRequest{.container_id = "job-1",
+                   .pid = 4242,
+                   .size = 4_GiB + 1,
+                   .api = "cudaMallocPitch"},
+      AllocReply{.granted = false, .error = "RESOURCE_EXHAUSTED: limit"},
+      AllocCommit{.container_id = "job-1",
+                  .pid = 4242,
+                  .address = kAddress,
+                  .size = 128_MiB},
+      AllocAbort{.container_id = "job-1", .pid = 4242, .size = 1_MiB},
+      FreeNotify{.container_id = "job-1", .pid = 4242, .address = kAddress},
+      MemGetInfoRequest{.container_id = "job-1", .pid = 4242},
+      MemInfoReply{.free = 100_MiB, .total = 512_MiB},
+      ProcessExit{.container_id = "job-1", .pid = 4242},
+      ContainerClose{.container_id = "job-1"},
+      Ping{},
+      Pong{},
+      StatsRequest{},
+      StatsReply{.capacity = 5_GiB,
+                 .free_pool = 1_GiB,
+                 .policy = "BF",
+                 .kicked_connections = 3,
+                 .containers = {{.container_id = "a",
+                                  .limit = 2_GiB,
+                                  .assigned = 2_GiB + 66_MiB,
+                                  .used = 512_MiB,
+                                  .suspended = true,
+                                  .total_suspended_sec = 12.5,
+                                  .suspend_episodes = 3,
+                                  .kicked_connections = 1},
+                                 {.container_id = "b\x01",
+                                  .limit = 1_GiB,
+                                  .assigned = 1_GiB + 66_MiB,
+                                  .used = 0,
+                                  .suspended = false,
+                                  .total_suspended_sec = 0.1,
+                                  .suspend_episodes = 0,
+                                  .kicked_connections = 0},
+                                 {.container_id = "c",
+                                  .total_suspended_sec = 3.0}}},
+      Hello{.container_id = "job-1", .pid = 4242, .binary = true},
+      HelloReply{.ok = false,
+                 .error = "unknown container",
+                 .epoch = kEpoch,
+                 .limit = 512_MiB,
+                 .binary = true},
+      Reattach{.container_id = "job-1",
+               .pid = 4242,
+               .epoch = kEpoch,
+               .limit = 512_MiB,
+               .allocations = {{.address = kAddress, .size = 128_MiB},
+                               {.address = kAddress + 128_MiB, .size = 1_MiB}},
+               .binary = true},
+      ReattachReply{
+          .ok = false, .error = "stale epoch", .epoch = kEpoch, .binary = true},
+  };
+  const std::vector<Message> omitted = {
+      RegisterContainer{.container_id = "job-1", .memory_limit = std::nullopt},
+      RegisterReply{.ok = true,
+                    .error = "",
+                    .socket_dir = "/run/convgpu/job-1",
+                    .socket_path = "/run/convgpu/job-1/convgpu.sock"},
+      AllocReply{.granted = true, .error = ""},
+      Hello{.container_id = "job-1", .pid = 4242, .binary = false},
+      HelloReply{.ok = true,
+                 .error = "",
+                 .epoch = kEpoch,
+                 .limit = 512_MiB,
+                 .binary = false},
+      Reattach{.container_id = "job-1",
+               .pid = 4242,
+               .epoch = kEpoch,
+               .limit = 512_MiB,
+               .allocations = {},
+               .binary = false},
+      ReattachReply{.ok = true, .error = "", .epoch = kEpoch, .binary = false},
+  };
+  std::vector<GoldenInput> inputs;
+  ReqId next_id = 1;
+  for (const Message& message : full) {
+    inputs.push_back({message, std::nullopt});
+    inputs.push_back({message, next_id++});
   }
+  inputs.push_back({Ping{}, kMaxWireReqId});
+  for (const Message& message : omitted) {
+    inputs.push_back({message, std::nullopt});
+  }
+  return inputs;
+}
+
+// The JSON bytes of GoldenInputs(), in order. Old peers parse exactly these
+// bytes, so any change here is a wire-format change: keys in sorted order,
+// "req_id" only when present, optional keys omitted when empty, strings
+// escaped and doubles printed as below.
+constexpr std::string_view kGoldenJson[] = {
+    // register_container
+    R"golden({"container_id":"job-1","memory_limit":536870912,"type":"register_container"})golden",
+    // register_container, req_id 1
+    R"golden({"container_id":"job-1","memory_limit":536870912,"req_id":1,"type":"register_container"})golden",
+    // register_reply
+    R"golden({"error":"name \"job-1\" taken\\retry\n","ok":false,"socket_dir":"/run/convgpu/job-1","socket_path":"/run/convgpu/job-1/convgpu.sock","type":"register_reply"})golden",
+    // register_reply, req_id 2
+    R"golden({"error":"name \"job-1\" taken\\retry\n","ok":false,"req_id":2,"socket_dir":"/run/convgpu/job-1","socket_path":"/run/convgpu/job-1/convgpu.sock","type":"register_reply"})golden",
+    // alloc_request
+    R"golden({"api":"cudaMallocPitch","container_id":"job-1","pid":4242,"size":4294967297,"type":"alloc_request"})golden",
+    // alloc_request, req_id 3
+    R"golden({"api":"cudaMallocPitch","container_id":"job-1","pid":4242,"req_id":3,"size":4294967297,"type":"alloc_request"})golden",
+    // alloc_reply
+    R"golden({"error":"RESOURCE_EXHAUSTED: limit","granted":false,"type":"alloc_reply"})golden",
+    // alloc_reply, req_id 4
+    R"golden({"error":"RESOURCE_EXHAUSTED: limit","granted":false,"req_id":4,"type":"alloc_reply"})golden",
+    // alloc_commit
+    R"golden({"address":123145302315572,"container_id":"job-1","pid":4242,"size":134217728,"type":"alloc_commit"})golden",
+    // alloc_commit, req_id 5
+    R"golden({"address":123145302315572,"container_id":"job-1","pid":4242,"req_id":5,"size":134217728,"type":"alloc_commit"})golden",
+    // alloc_abort
+    R"golden({"container_id":"job-1","pid":4242,"size":1048576,"type":"alloc_abort"})golden",
+    // alloc_abort, req_id 6
+    R"golden({"container_id":"job-1","pid":4242,"req_id":6,"size":1048576,"type":"alloc_abort"})golden",
+    // free
+    R"golden({"address":123145302315572,"container_id":"job-1","pid":4242,"type":"free"})golden",
+    // free, req_id 7
+    R"golden({"address":123145302315572,"container_id":"job-1","pid":4242,"req_id":7,"type":"free"})golden",
+    // mem_get_info
+    R"golden({"container_id":"job-1","pid":4242,"type":"mem_get_info"})golden",
+    // mem_get_info, req_id 8
+    R"golden({"container_id":"job-1","pid":4242,"req_id":8,"type":"mem_get_info"})golden",
+    // mem_info_reply
+    R"golden({"free":104857600,"total":536870912,"type":"mem_info_reply"})golden",
+    // mem_info_reply, req_id 9
+    R"golden({"free":104857600,"req_id":9,"total":536870912,"type":"mem_info_reply"})golden",
+    // process_exit
+    R"golden({"container_id":"job-1","pid":4242,"type":"process_exit"})golden",
+    // process_exit, req_id 10
+    R"golden({"container_id":"job-1","pid":4242,"req_id":10,"type":"process_exit"})golden",
+    // container_close
+    R"golden({"container_id":"job-1","type":"container_close"})golden",
+    // container_close, req_id 11
+    R"golden({"container_id":"job-1","req_id":11,"type":"container_close"})golden",
+    // ping
+    R"golden({"type":"ping"})golden",
+    // ping, req_id 12
+    R"golden({"req_id":12,"type":"ping"})golden",
+    // pong
+    R"golden({"type":"pong"})golden",
+    // pong, req_id 13
+    R"golden({"req_id":13,"type":"pong"})golden",
+    // stats
+    R"golden({"type":"stats"})golden",
+    // stats, req_id 14
+    R"golden({"req_id":14,"type":"stats"})golden",
+    // stats_reply
+    R"golden({"capacity":5368709120,"containers":[{"assigned":2216689664,"container_id":"a","kicked_connections":1,"limit":2147483648,"suspend_episodes":3,"suspended":true,"total_suspended_sec":12.5,"used":536870912},{"assigned":1142947840,"container_id":"b\u0001","kicked_connections":0,"limit":1073741824,"suspend_episodes":0,"suspended":false,"total_suspended_sec":0.1,"used":0},{"assigned":0,"container_id":"c","kicked_connections":0,"limit":0,"suspend_episodes":0,"suspended":false,"total_suspended_sec":3.0,"used":0}],"free_pool":1073741824,"kicked_connections":3,"policy":"BF","type":"stats_reply"})golden",
+    // stats_reply, req_id 15
+    R"golden({"capacity":5368709120,"containers":[{"assigned":2216689664,"container_id":"a","kicked_connections":1,"limit":2147483648,"suspend_episodes":3,"suspended":true,"total_suspended_sec":12.5,"used":536870912},{"assigned":1142947840,"container_id":"b\u0001","kicked_connections":0,"limit":1073741824,"suspend_episodes":0,"suspended":false,"total_suspended_sec":0.1,"used":0},{"assigned":0,"container_id":"c","kicked_connections":0,"limit":0,"suspend_episodes":0,"suspended":false,"total_suspended_sec":3.0,"used":0}],"free_pool":1073741824,"kicked_connections":3,"policy":"BF","req_id":15,"type":"stats_reply"})golden",
+    // hello
+    R"golden({"binary":true,"container_id":"job-1","pid":4242,"type":"hello"})golden",
+    // hello, req_id 16
+    R"golden({"binary":true,"container_id":"job-1","pid":4242,"req_id":16,"type":"hello"})golden",
+    // hello_reply
+    R"golden({"binary":true,"epoch":280298068560638,"error":"unknown container","limit":536870912,"ok":false,"type":"hello_reply"})golden",
+    // hello_reply, req_id 17
+    R"golden({"binary":true,"epoch":280298068560638,"error":"unknown container","limit":536870912,"ok":false,"req_id":17,"type":"hello_reply"})golden",
+    // reattach
+    R"golden({"allocations":[{"address":123145302315572,"size":134217728},{"address":123145436533300,"size":1048576}],"binary":true,"container_id":"job-1","epoch":280298068560638,"limit":536870912,"pid":4242,"type":"reattach"})golden",
+    // reattach, req_id 18
+    R"golden({"allocations":[{"address":123145302315572,"size":134217728},{"address":123145436533300,"size":1048576}],"binary":true,"container_id":"job-1","epoch":280298068560638,"limit":536870912,"pid":4242,"req_id":18,"type":"reattach"})golden",
+    // reattach_reply
+    R"golden({"binary":true,"epoch":280298068560638,"error":"stale epoch","ok":false,"type":"reattach_reply"})golden",
+    // reattach_reply, req_id 19
+    R"golden({"binary":true,"epoch":280298068560638,"error":"stale epoch","ok":false,"req_id":19,"type":"reattach_reply"})golden",
+    // ping, req_id 9223372036854775807
+    R"golden({"req_id":9223372036854775807,"type":"ping"})golden",
+    // register_container
+    R"golden({"container_id":"job-1","type":"register_container"})golden",
+    // register_reply
+    R"golden({"ok":true,"socket_dir":"/run/convgpu/job-1","socket_path":"/run/convgpu/job-1/convgpu.sock","type":"register_reply"})golden",
+    // alloc_reply
+    R"golden({"granted":true,"type":"alloc_reply"})golden",
+    // hello
+    R"golden({"container_id":"job-1","pid":4242,"type":"hello"})golden",
+    // hello_reply
+    R"golden({"epoch":280298068560638,"limit":536870912,"ok":true,"type":"hello_reply"})golden",
+    // reattach
+    R"golden({"allocations":[],"container_id":"job-1","epoch":280298068560638,"limit":536870912,"pid":4242,"type":"reattach"})golden",
+    // reattach_reply
+    R"golden({"epoch":280298068560638,"ok":true,"type":"reattach_reply"})golden",
+};
+
+TEST(CodecTest, JsonCodecMatchesGoldenBytes) {
+  const std::vector<GoldenInput> inputs = GoldenInputs();
+  ASSERT_EQ(inputs.size(), std::size(kGoldenJson));
+  std::set<std::size_t> variants;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const GoldenInput& input = inputs[i];
+    variants.insert(input.message.index());
+    EXPECT_EQ(EncodePayload(json_codec(), input.message, input.req_id),
+              kGoldenJson[i])
+        << "row " << i << ", " << TypeName(input.message);
+    // And the golden bytes decode back to exactly the input.
+    auto decoded = DecodePayload(kGoldenJson[i]);
+    ASSERT_TRUE(decoded.ok()) << "row " << i << ": "
+                              << decoded.status().ToString();
+    EXPECT_TRUE(*decoded == input.message) << "row " << i;
+    EXPECT_EQ(PeekPayloadReqId(kGoldenJson[i]), input.req_id) << "row " << i;
+  }
+  EXPECT_EQ(variants.size(), kVariantCount);  // every alternative is pinned
 }
 
 TEST(CodecPropertyTest, EncodingsAreEquivalent) {

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "convgpu/codec.h"
 #include "convgpu/convgpu.h"
 #include "ipc/message_server.h"
 #include "tests/test_util.h"
@@ -194,9 +195,9 @@ class ReorderingServer {
  public:
   ReorderingServer(const std::string& path, std::size_t wave_size)
       : wave_size_(wave_size) {
-    const Status started = server_.StartJson(
-        path, [this](ipc::ConnectionId conn, json::Json frame) {
-          OnFrame(conn, std::move(frame));
+    const Status started = server_.Start(
+        path, [this](ipc::ConnectionId conn, std::string payload) {
+          OnFrame(conn, payload);
         });
     EXPECT_TRUE(started.ok()) << started.ToString();
   }
@@ -205,9 +206,9 @@ class ReorderingServer {
 
  private:
   // Runs on the reactor thread only — no locking needed.
-  void OnFrame(ipc::ConnectionId conn, json::Json frame) {
-    const auto req_id = protocol::PeekReqId(frame);
-    auto parsed = protocol::Parse(frame);
+  void OnFrame(ipc::ConnectionId conn, const std::string& payload) {
+    const auto req_id = protocol::PeekPayloadReqId(payload);
+    auto parsed = protocol::DecodePayload(payload);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     protocol::Message reply;
     if (const auto* info = std::get_if<protocol::MemGetInfoRequest>(&*parsed)) {
@@ -225,17 +226,18 @@ class ReorderingServer {
     } else {
       return;  // one-way notifications don't join the wave
     }
-    held_.emplace_back(conn, protocol::Serialize(reply, req_id));
+    held_.emplace_back(
+        conn, protocol::EncodePayload(protocol::json_codec(), reply, req_id));
     if (held_.size() < wave_size_) return;
     for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
-      EXPECT_TRUE(server_.Send(it->first, it->second).ok());
+      EXPECT_TRUE(server_.SendBytes(it->first, it->second).ok());
     }
     held_.clear();
   }
 
   ipc::MessageServer server_;
   std::size_t wave_size_;
-  std::vector<std::pair<ipc::ConnectionId, json::Json>> held_;
+  std::vector<std::pair<ipc::ConnectionId, std::string>> held_;
 };
 
 TEST(SchedulerLinkPipeliningTest, SixteenThreadsSurviveReorderedReplies) {
@@ -315,17 +317,17 @@ TEST(SchedulerLinkPipeliningTest, SixteenThreadsSurviveReorderedReplies) {
 class RecordingEchoServer {
  public:
   explicit RecordingEchoServer(const std::string& path) {
-    const Status started = server_.StartJson(
-        path, [this](ipc::ConnectionId conn, json::Json frame) {
+    const Status started = server_.Start(
+        path, [this](ipc::ConnectionId conn, std::string payload) {
+          const auto id = protocol::PeekPayloadReqId(payload);
           {
             MutexLock lock(mutex_);
-            if (const auto id = protocol::PeekReqId(frame)) {
-              seen_.push_back(*id);
-            }
+            if (id) seen_.push_back(*id);
           }
-          (void)server_.Send(conn, protocol::Serialize(
-                                       protocol::Message(protocol::Pong{}),
-                                       protocol::PeekReqId(frame)));
+          (void)server_.SendBytes(
+              conn, protocol::EncodePayload(protocol::json_codec(),
+                                            protocol::Message(protocol::Pong{}),
+                                            id));
         });
     EXPECT_TRUE(started.ok()) << started.ToString();
   }
@@ -368,19 +370,19 @@ TEST(SchedulerLinkPipeliningTest, BlockingCallRejectsMismatchedEcho) {
   TempDir dir;
   const std::string path = dir.path() + "/liar.sock";
   ipc::MessageServer server;
-  ASSERT_TRUE(server
-                  .StartJson(path,
-                             [&server](ipc::ConnectionId conn,
-                                       json::Json frame) {
-                           const auto id = protocol::PeekReqId(frame);
-                           (void)server.Send(
-                               conn, protocol::Serialize(
-                                         protocol::Message(protocol::Pong{}),
-                                         id ? std::optional<protocol::ReqId>(
-                                                  *id + 1)
-                                            : std::nullopt));
-                         })
-                  .ok());
+  ASSERT_TRUE(
+      server
+          .Start(path,
+                 [&server](ipc::ConnectionId conn, std::string payload) {
+                   const auto id = protocol::PeekPayloadReqId(payload);
+                   (void)server.SendBytes(
+                       conn, protocol::EncodePayload(
+                                 protocol::json_codec(),
+                                 protocol::Message(protocol::Pong{}),
+                                 id ? std::optional<protocol::ReqId>(*id + 1)
+                                    : std::nullopt));
+                 })
+          .ok());
   auto client = ipc::MessageClient::ConnectUnix(path);
   ASSERT_TRUE(client.ok());
   auto reply = protocol::Call(**client, protocol::Message(protocol::Ping{}),

@@ -6,6 +6,7 @@
 #include <future>
 #include <thread>
 
+#include "convgpu/codec.h"
 #include "convgpu/nvdocker.h"
 #include "convgpu/scheduler_link.h"
 #include "ipc/framing.h"
@@ -37,11 +38,10 @@ class SchedulerServerTest : public ::testing::Test {
     protocol::RegisterContainer request;
     request.container_id = id;
     request.memory_limit = limit;
-    auto raw = (*client)->Call(protocol::Serialize(protocol::Message(request)));
-    EXPECT_TRUE(raw.ok());
-    auto decoded = protocol::Parse(*raw);
-    EXPECT_TRUE(decoded.ok());
-    return std::get<protocol::RegisterReply>(*decoded);
+    auto reply = protocol::Expect<protocol::RegisterReply>(
+        protocol::Call(**client, protocol::Message(request)));
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    return reply.ok() ? *reply : protocol::RegisterReply{};
   }
 
   TempDir dir_;
@@ -51,9 +51,9 @@ class SchedulerServerTest : public ::testing::Test {
 TEST_F(SchedulerServerTest, PingPongOnMainSocket) {
   auto client = ipc::MessageClient::ConnectUnix(server_->main_socket_path());
   ASSERT_TRUE(client.ok());
-  auto reply = (*client)->Call(protocol::Serialize(protocol::Message(protocol::Ping{})));
+  auto reply = protocol::Call(**client, protocol::Message(protocol::Ping{}));
   ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->GetString("type"), "pong");
+  EXPECT_TRUE(std::holds_alternative<protocol::Pong>(*reply));
 }
 
 TEST_F(SchedulerServerTest, RegisterCreatesContainerSocket) {
@@ -174,7 +174,7 @@ TEST_F(SchedulerServerTest, SuspendedRequestBlocksUntilClose) {
   ASSERT_TRUE(main.ok());
   protocol::ContainerClose close;
   close.container_id = "hog";
-  ASSERT_TRUE((*main)->Send(protocol::Serialize(protocol::Message(close))).ok());
+  ASSERT_TRUE(protocol::Notify(**main, protocol::Message(close)).ok());
 
   auto resumed = pending.get();  // must now complete
   ASSERT_TRUE(resumed.ok());
@@ -211,15 +211,13 @@ TEST_F(SchedulerServerTest, StatsQueryOverSocket) {
   ASSERT_TRUE(Register("c1", 512_MiB).ok);
   auto main = ipc::MessageClient::ConnectUnix(server_->main_socket_path());
   ASSERT_TRUE(main.ok());
-  auto raw = (*main)->Call(protocol::Serialize(protocol::Message(protocol::StatsRequest{})));
-  ASSERT_TRUE(raw.ok());
-  auto decoded = protocol::Parse(*raw);
-  ASSERT_TRUE(decoded.ok());
-  const auto& stats = std::get<protocol::StatsReply>(*decoded);
-  EXPECT_EQ(stats.capacity, 5_GiB);
-  ASSERT_EQ(stats.containers.size(), 1u);
-  EXPECT_EQ(stats.containers[0].container_id, "c1");
-  EXPECT_EQ(stats.containers[0].limit, 512_MiB);
+  auto stats = protocol::Expect<protocol::StatsReply>(
+      protocol::Call(**main, protocol::Message(protocol::StatsRequest{})));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->capacity, 5_GiB);
+  ASSERT_EQ(stats->containers.size(), 1u);
+  EXPECT_EQ(stats->containers[0].container_id, "c1");
+  EXPECT_EQ(stats->containers[0].limit, 512_MiB);
 }
 
 TEST(SchedulerServerBackpressureTest, StatsSurfaceKickedConnections) {
@@ -256,7 +254,7 @@ TEST(SchedulerServerBackpressureTest, StatsSurfaceKickedConnections) {
   info.container_id = "c1";
   info.pid = 1;
   const std::string request_bytes =
-      protocol::Serialize(protocol::Message(info)).Dump();
+      protocol::EncodePayload(protocol::json_codec(), protocol::Message(info));
   Status write = Status::Ok();
   for (int i = 0; i < 20000 && write.ok(); ++i) {
     write = ipc::WriteFrame(fd->get(), request_bytes);

@@ -116,14 +116,9 @@ TEST(SchedulerServerHammerTest, SocketChurnWithMidAllocationDisconnects) {
       protocol::RegisterContainer reg;
       reg.container_id = id;
       reg.memory_limit = 256_MiB;
-      auto raw = (*main_client)->Call(protocol::Serialize(protocol::Message(reg)));
-      if (!raw.ok()) {
-        ++errors;
-        continue;
-      }
-      auto decoded = protocol::Parse(*raw);
-      if (!decoded.ok() ||
-          !std::get<protocol::RegisterReply>(*decoded).ok) {
+      auto registered = protocol::Expect<protocol::RegisterReply>(
+          protocol::Call(**main_client, protocol::Message(reg)));
+      if (!registered.ok() || !registered->ok) {
         ++errors;
         continue;
       }
@@ -140,7 +135,7 @@ TEST(SchedulerServerHammerTest, SocketChurnWithMidAllocationDisconnects) {
           request.pid = pid;
           request.size = size;
           request.api = "cudaMalloc";
-          (void)(*victim)->Send(protocol::Serialize(protocol::Message(request)));
+          (void)protocol::Notify(**victim, protocol::Message(request));
         }
         // `victim` drops here; the disconnect handler must cancel the
         // request and reclaim the pid.
@@ -183,7 +178,7 @@ TEST(SchedulerServerHammerTest, SocketChurnWithMidAllocationDisconnects) {
 
       protocol::ContainerClose close;
       close.container_id = id;
-      if (!(*main_client)->Send(protocol::Serialize(protocol::Message(close))).ok()) {
+      if (!protocol::Notify(**main_client, protocol::Message(close)).ok()) {
         ++errors;
       }
     }

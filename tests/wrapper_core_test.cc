@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "convgpu/scheduler_core.h"
 #include "convgpu/scheduler_link.h"
@@ -151,6 +153,119 @@ TEST_F(WrapperCoreTest, UnregisterFatBinaryReportsProcessExit) {
   wrapper_.UnregisterFatBinary();
   EXPECT_EQ(core_.StatsFor("c1")->used, 0);   // scheduler cleaned the pid
   EXPECT_EQ(device_.UsedBy(kPid), 0);         // driver context destroyed
+}
+
+/// Forwards to a real CUDA API and appends the driver-context teardown to a
+/// shared event log.
+class RecordingCudaApi final : public cudasim::CudaApi {
+ public:
+  RecordingCudaApi(cudasim::CudaApi* inner, std::vector<std::string>* log)
+      : inner_(inner), log_(log) {}
+
+  CudaError Malloc(DevicePtr* p, std::size_t size) override {
+    return inner_->Malloc(p, size);
+  }
+  CudaError MallocPitch(DevicePtr* p, std::size_t* pitch, std::size_t width,
+                        std::size_t height) override {
+    return inner_->MallocPitch(p, pitch, width, height);
+  }
+  CudaError Malloc3D(cudasim::PitchedPtr* pitched,
+                     const cudasim::Extent& extent) override {
+    return inner_->Malloc3D(pitched, extent);
+  }
+  CudaError MallocManaged(DevicePtr* p, std::size_t size) override {
+    return inner_->MallocManaged(p, size);
+  }
+  CudaError Free(DevicePtr p) override { return inner_->Free(p); }
+  CudaError MemGetInfo(std::size_t* free_bytes,
+                       std::size_t* total_bytes) override {
+    return inner_->MemGetInfo(free_bytes, total_bytes);
+  }
+  CudaError GetDeviceProperties(cudasim::DeviceProp* prop,
+                                int device) override {
+    return inner_->GetDeviceProperties(prop, device);
+  }
+  CudaError MemcpyHostToDevice(DevicePtr dst, const void* src,
+                               std::size_t count) override {
+    return inner_->MemcpyHostToDevice(dst, src, count);
+  }
+  CudaError MemcpyDeviceToHost(void* dst, DevicePtr src,
+                               std::size_t count) override {
+    return inner_->MemcpyDeviceToHost(dst, src, count);
+  }
+  CudaError MemcpyDeviceToDevice(DevicePtr dst, DevicePtr src,
+                                 std::size_t count) override {
+    return inner_->MemcpyDeviceToDevice(dst, src, count);
+  }
+  CudaError LaunchKernel(const cudasim::KernelLaunch& launch) override {
+    return inner_->LaunchKernel(launch);
+  }
+  CudaError DeviceSynchronize() override { return inner_->DeviceSynchronize(); }
+  CudaError StreamCreate(cudasim::StreamId* stream) override {
+    return inner_->StreamCreate(stream);
+  }
+  CudaError StreamDestroy(cudasim::StreamId stream) override {
+    return inner_->StreamDestroy(stream);
+  }
+  void RegisterFatBinary() override { inner_->RegisterFatBinary(); }
+  void UnregisterFatBinary() override {
+    inner_->UnregisterFatBinary();
+    log_->push_back("device:unregister_fat_binary");
+  }
+  CudaError GetLastError() override { return inner_->GetLastError(); }
+
+ private:
+  cudasim::CudaApi* inner_;
+  std::vector<std::string>* log_;
+};
+
+/// Forwards to a real link and appends every one-way notify to the same
+/// event log, together with what the device still holds for `pid` at that
+/// moment.
+class RecordingLink final : public SchedulerLink {
+ public:
+  RecordingLink(SchedulerLink* inner, const cudasim::GpuDevice* device,
+                Pid pid, std::vector<std::string>* log)
+      : inner_(inner), device_(device), pid_(pid), log_(log) {}
+
+  ReplyFuture AsyncCall(const protocol::Message& request) override {
+    return inner_->AsyncCall(request);
+  }
+  Status Notify(const protocol::Message& message) override {
+    log_->push_back("notify:" + std::string(protocol::TypeName(message)) +
+                    " device_used=" + std::to_string(device_->UsedBy(pid_)));
+    return inner_->Notify(message);
+  }
+
+ private:
+  SchedulerLink* inner_;
+  const cudasim::GpuDevice* device_;
+  Pid pid_;
+  std::vector<std::string>* log_;
+};
+
+TEST_F(WrapperCoreTest, ProcessExitIsReportedAfterTheDeviceContextIsGone) {
+  // process_exit hands the pid's memory back to the scheduler, which may
+  // grant it to another container at once. The driver context must already
+  // be gone by then, or that grant reaches a device still holding the old
+  // 66 MiB context.
+  std::vector<std::string> log;
+  RecordingCudaApi device_api(&inner_, &log);
+  RecordingLink link(&link_, &device_, kPid, &log);
+  WrapperCore wrapper(&device_api, &link, kPid);
+
+  DevicePtr p = cudasim::kNullDevicePtr;
+  ASSERT_EQ(wrapper.Malloc(&p, static_cast<std::size_t>(64_MiB)),
+            CudaError::kSuccess);
+  ASSERT_GT(device_.UsedBy(kPid), 64_MiB);
+  log.clear();  // keep only the exit sequence
+
+  wrapper.UnregisterFatBinary();
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "device:unregister_fat_binary",
+                     "notify:process_exit device_used=0",
+                 }));
+  EXPECT_EQ(core_.StatsFor("c1")->used, 0);
 }
 
 TEST_F(WrapperCoreTest, DeviceFailureAfterAdmissionRollsBackReservation) {
