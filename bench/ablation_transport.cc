@@ -231,7 +231,7 @@ WireSample MeasureWire(const std::string& dir, const protocol::Codec& codec,
                     std::to_string(c) + ".sock");
     auto id = server.AddListener(
         paths.back(), [&server](ipc::ListenerId, ipc::ConnectionId conn,
-                                std::string payload) {
+                                std::string_view payload) {
           // The daemon's shape: sniff the encoding, decode, answer in kind.
           const auto req_id = protocol::PeekPayloadReqId(payload);
           auto decoded = protocol::DecodePayload(payload);

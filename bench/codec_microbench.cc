@@ -3,20 +3,29 @@
 // Measures the per-message CPU the scheduler and wrapper spend turning
 // protocol::Message values into payload bytes and back — the cost the
 // negotiated binary encoding exists to cut. Also enforces the hot-path
-// allocation contract: after warm-up, encoding into a reused scratch
-// buffer performs ZERO heap allocations with either codec (the process
-// exits nonzero if that ever regresses).
+// allocation contract (the process exits nonzero if either regresses):
+//  * after warm-up, encoding into a reused scratch buffer performs ZERO
+//    heap allocations with either codec;
+//  * after warm-up, a whole round trip through the daemon's reactor — frame
+//    in, handler, SendBytes, frame out, through an ipc::MessageServer echo
+//    listener and a MessageClient — performs ZERO heap allocations in the
+//    process, on either side of the socket.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include <unistd.h>
 
 #include "convgpu/codec.h"
 #include "convgpu/protocol.h"
+#include "ipc/message_server.h"
 
 // --- Global allocation counter ----------------------------------------------
 // Counts every operator new in the process. Benchmarks ignore it; the
@@ -205,6 +214,63 @@ bool VerifyZeroAllocationEncode() {
   return ok;
 }
 
+/// The reactor half of the contract: frames echoed through a real
+/// MessageServer listener. Warm-up lets every buffer on the path (the
+/// connection's input and output buffers, the client's receive buffer)
+/// reach its steady-state capacity; after that a round trip must not touch
+/// the heap anywhere in the process — neither the reactor thread nor the
+/// client.
+bool VerifyZeroAllocationReactor() {
+  std::string dir = "/tmp/convgpu-reactor-alloc-XXXXXX";
+  if (::mkdtemp(dir.data()) == nullptr) {
+    std::fprintf(stderr, "FAIL: cannot create a socket directory\n");
+    return false;
+  }
+  const std::string path = dir + "/echo.sock";
+  ipc::MessageServer server;
+  const Status started = server.Start(
+      path, [&server](ipc::ConnectionId conn, std::string_view payload) {
+        (void)server.SendBytes(conn, payload);
+      });
+  auto client = ipc::MessageClient::ConnectUnix(path);
+  if (!started.ok() || !client.ok()) {
+    std::fprintf(stderr, "FAIL: cannot start the echo listener\n");
+    std::filesystem::remove_all(dir);
+    return false;
+  }
+  // A binary alloc_request-sized payload would fit a std::string's inline
+  // buffer; a JSON one does not, so a per-frame payload copy would show.
+  const std::string payload = protocol::EncodePayload(
+      protocol::json_codec(), HotPathMessages().front(), /*req_id=*/1);
+  auto round_trip = [&]() -> bool {
+    if (!(*client)->SendFrame(payload).ok()) return false;
+    auto echoed = (*client)->RecvFrameView(std::nullopt);
+    return echoed.ok() && *echoed == payload;
+  };
+  bool ok = true;
+  for (int i = 0; i < 256 && ok; ++i) ok = round_trip();
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < 2000 && ok; ++i) ok = round_trip();
+  const std::size_t allocations = g_allocations.load() - before;
+  client->reset();
+  server.Stop();
+  std::filesystem::remove_all(dir);
+  if (!ok) {
+    std::fprintf(stderr, "FAIL: echo round trip through the reactor failed\n");
+    return false;
+  }
+  std::printf("steady-state reactor round-trip allocations: %zu\n",
+              allocations);
+  if (allocations != 0) {
+    std::fprintf(stderr,
+                 "FAIL: a reactor round trip allocated %zu times in 2000 "
+                 "round trips in steady state (contract: zero)\n",
+                 allocations);
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 }  // namespace convgpu::bench
 
@@ -213,5 +279,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return convgpu::bench::VerifyZeroAllocationEncode() ? 0 : 1;
+  const bool encode = convgpu::bench::VerifyZeroAllocationEncode();
+  const bool reactor = convgpu::bench::VerifyZeroAllocationReactor();
+  return encode && reactor ? 0 : 1;
 }

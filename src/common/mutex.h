@@ -17,6 +17,8 @@
 // scoped capability's state through those calls.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 
 #include "common/thread_annotations.h"
@@ -37,6 +39,7 @@ class CAPABILITY("mutex") Mutex {
   bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
+  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -69,6 +72,40 @@ class SCOPED_CAPABILITY MutexLock {
  private:
   Mutex& mu_;
   bool owns_ = true;
+};
+
+/// std::condition_variable over Mutex. Unlike std::condition_variable_any
+/// it needs no internal mutex of its own (construction does not allocate),
+/// so one can sit in every per-call completion slot. Each waiter must hold
+/// `mu` (through a MutexLock); it is released while blocked and held again
+/// on return.
+class CondVar {
+ public:
+  CondVar() = default;
+  CondVar(const CondVar&) = delete;
+  CondVar& operator=(const CondVar&) = delete;
+
+  void Wait(Mutex& mu) REQUIRES(mu) {
+    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
+    cv_.wait(lock);
+    lock.release();
+  }
+
+  /// std::cv_status::timeout once `deadline` has passed.
+  std::cv_status WaitUntil(Mutex& mu,
+                           std::chrono::steady_clock::time_point deadline)
+      REQUIRES(mu) {
+    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
+    const std::cv_status status = cv_.wait_until(lock, deadline);
+    lock.release();
+    return status;
+  }
+
+  void NotifyOne() { cv_.notify_one(); }
+  void NotifyAll() { cv_.notify_all(); }
+
+ private:
+  std::condition_variable cv_;
 };
 
 }  // namespace convgpu

@@ -1,5 +1,8 @@
 #include "convgpu/scheduler_link.h"
 
+#include <poll.h>
+
+#include <cerrno>
 #include <utility>
 
 #include "common/log.h"
@@ -18,127 +21,360 @@ SchedulerLink::ReplyFuture ImmediateReply(Result<protocol::Message> reply) {
 
 }  // namespace
 
-// --- ReplyRouter ------------------------------------------------------------
+// --- Completion slots and the reader role --------------------------------
 
-protocol::ReqId ReplyRouter::NextIdLocked() {
+namespace link_internal {
+
+/// One call's completion slot. Every field is guarded by the mutex of the
+/// RouterCore that issued it.
+struct CallSlot {
+  std::optional<Result<protocol::Message>> reply;  // set once, on completion
+  protocol::Message request;  // kept for replay (replayable calls only)
+  bool replayable = false;
+  /// A thread is asleep on `wake` (cleared by whoever wakes it).
+  bool waiting = false;
+  /// Signals completion, or promotion to the reader role.
+  CondVar wake;
+};
+
+/// Shared by a ReplyRouter and every future it issued.
+class RouterCore {
+ public:
+  using Deadline = std::chrono::steady_clock::time_point;
+
+  protocol::ReqId NextIdLocked() REQUIRES(mutex);
+  /// Index into `pending` of the slot `id` names, or pending.size().
+  std::size_t FindLocked(protocol::ReqId id) const REQUIRES(mutex);
+  void CompleteLocked(CallSlot& slot, Result<protocol::Message> reply)
+      REQUIRES(mutex);
+  Status RouteLocked(std::optional<protocol::ReqId> req_id,
+                     Result<protocol::Message> reply) REQUIRES(mutex);
+  /// Wakes one waiting caller to take the reader role, if one may.
+  void PromoteLocked() REQUIRES(mutex);
+
+  /// Decodes one reply frame and routes it; `*mine_done` tells whether
+  /// `mine` (may be null) is complete afterwards. An error means the stream
+  /// can no longer be trusted (garbage without even a correlation id).
+  Status RouteFrame(std::string_view frame, const CallSlot* mine,
+                    bool* mine_done);
+
+  /// The body of every wait: leads when nobody reads, follows otherwise.
+  std::future_status Wait(CallSlot& slot, std::optional<Deadline> deadline);
+  Result<protocol::Message> Take(CallSlot& slot);
+
+  mutable Mutex mutex;
+  protocol::ReqId next_id GUARDED_BY(mutex) = 1;
+  /// Outstanding calls in issue order (typically a handful).
+  std::vector<std::pair<protocol::ReqId, std::shared_ptr<CallSlot>>> pending
+      GUARDED_BY(mutex);
+  /// The connection callers read from; null while none may (no connection,
+  /// or the hang-up watcher owns it).
+  std::shared_ptr<ipc::MessageClient> source GUARDED_BY(mutex);
+  bool reading GUARDED_BY(mutex) = false;  // a caller holds the reader role
+  CondVar reader_left;  // Detach() waits here for the leader to step down
+
+ private:
+  /// Reads and routes until `slot` completes, the deadline passes
+  /// (kDeadlineExceeded) or the stream ends.
+  Status Lead(ipc::MessageClient& client, CallSlot& slot,
+              std::optional<Deadline> deadline);
+};
+
+protocol::ReqId RouterCore::NextIdLocked() {
   // The wire carries ids in a signed JSON integer, so the usable space is
   // [1, kMaxWireReqId]; wrap past the end and skip any id still pending
   // from the previous lap.
   for (;;) {
-    if (next_id_ == 0 || next_id_ > protocol::kMaxWireReqId) next_id_ = 1;
-    const protocol::ReqId id = next_id_++;
-    if (pending_.find(id) == pending_.end()) return id;
+    if (next_id == 0 || next_id > protocol::kMaxWireReqId) next_id = 1;
+    const protocol::ReqId id = next_id++;
+    if (FindLocked(id) == pending.size()) return id;
   }
 }
 
+std::size_t RouterCore::FindLocked(protocol::ReqId id) const {
+  std::size_t i = 0;
+  while (i < pending.size() && pending[i].first != id) ++i;
+  return i;
+}
+
+void RouterCore::CompleteLocked(CallSlot& slot,
+                                Result<protocol::Message> reply) {
+  slot.reply = std::move(reply);
+  if (slot.waiting) {
+    slot.waiting = false;
+    slot.wake.NotifyOne();
+  }
+}
+
+Status RouterCore::RouteLocked(std::optional<protocol::ReqId> req_id,
+                               Result<protocol::Message> reply) {
+  std::size_t index = 0;  // id-less peer (pre-correlation daemon): replies
+                          // are FIFO because that protocol allowed only one
+                          // call in flight per connection.
+  if (req_id) {
+    index = FindLocked(*req_id);
+    if (index == pending.size()) {
+      // Below the counter: an id we already answered (duplicate). At or
+      // above it: an id this connection never issued. Either way nobody
+      // may receive it.
+      return FailedPreconditionError(
+          *req_id < next_id
+              ? "duplicate reply for req_id " + std::to_string(*req_id)
+              : "reply for never-issued req_id " + std::to_string(*req_id));
+    }
+  } else if (pending.empty()) {
+    return FailedPreconditionError("id-less reply with no call pending");
+  }
+  const std::shared_ptr<CallSlot> slot = std::move(pending[index].second);
+  pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(index));
+  CompleteLocked(*slot, std::move(reply));
+  return Status::Ok();
+}
+
+void RouterCore::PromoteLocked() {
+  if (source == nullptr || reading) return;
+  for (auto& [id, slot] : pending) {
+    if (slot->waiting) {
+      slot->waiting = false;
+      slot->wake.NotifyOne();
+      return;
+    }
+  }
+}
+
+Status RouterCore::RouteFrame(std::string_view frame, const CallSlot* mine,
+                              bool* mine_done) {
+  // Replies are decoded by sniffing each payload's first byte, not by the
+  // negotiated state: both encodings are always accepted, so a daemon
+  // answering in either (including mid-renegotiation) is never
+  // misinterpreted.
+  const std::optional<protocol::ReqId> req_id =
+      protocol::PeekPayloadReqId(frame);
+  auto message = protocol::DecodePayload(frame);
+  if (!message.ok() && !req_id) return message.status();
+  Status routed;
+  {
+    MutexLock lock(mutex);
+    routed = message.ok() ? RouteLocked(req_id, std::move(*message))
+                          : RouteLocked(req_id, Result<protocol::Message>(
+                                                    message.status()));
+    *mine_done = mine != nullptr && mine->reply.has_value();
+  }
+  if (!routed.ok()) {
+    CONVGPU_LOG(kWarn, kTag)
+        << "dropping unroutable reply: " << routed.ToString();
+  }
+  return Status::Ok();
+}
+
+Status RouterCore::Lead(ipc::MessageClient& client, CallSlot& slot,
+                        std::optional<Deadline> deadline) {
+  for (;;) {
+    auto frame = client.RecvFrameView(deadline);
+    if (!frame.ok()) return frame.status();
+    bool done = false;
+    CONVGPU_RETURN_IF_ERROR(RouteFrame(*frame, &slot, &done));
+    // Frames the same read brought along stay buffered for the caller this
+    // one promotes: waking their owners is not this caller's latency.
+    if (done) return Status::Ok();
+  }
+}
+
+std::future_status RouterCore::Wait(CallSlot& slot,
+                                    std::optional<Deadline> deadline) {
+  MutexLock lock(mutex);
+  bool led = false;
+  for (;;) {
+    if (slot.reply) return std::future_status::ready;
+    const bool expired =
+        deadline && std::chrono::steady_clock::now() >= *deadline;
+    // Lead when nobody reads. An expired deadline still gets one (non-
+    // blocking) turn, so a polling wait_for(0) loop makes progress.
+    if (source != nullptr && !reading && !(expired && led)) {
+      reading = true;
+      led = true;
+      const std::shared_ptr<ipc::MessageClient> client = source;
+      lock.Unlock();
+      const Status status = Lead(*client, slot, deadline);
+      lock.Lock();
+      reading = false;
+      if (!status.ok() && status.code() != StatusCode::kDeadlineExceeded) {
+        // The stream ended or cannot be trusted. Nobody reads it again; the
+        // shutdown makes sure the hang-up watcher sees it and takes over.
+        if (source == client) source.reset();
+        client->Shutdown();
+      }
+      reader_left.NotifyAll();
+      PromoteLocked();
+      continue;
+    }
+    if (expired) {
+      PromoteLocked();  // in case this thread was promoted and now leaves
+      return std::future_status::timeout;
+    }
+    slot.waiting = true;
+    if (deadline) {
+      (void)slot.wake.WaitUntil(mutex, *deadline);
+    } else {
+      slot.wake.Wait(mutex);
+    }
+    slot.waiting = false;
+  }
+}
+
+Result<protocol::Message> RouterCore::Take(CallSlot& slot) {
+  MutexLock lock(mutex);
+  Result<protocol::Message> reply = std::move(*slot.reply);
+  slot.reply.reset();
+  return reply;
+}
+
+}  // namespace link_internal
+
+using link_internal::CallSlot;
+
+// --- ReplyFuture ------------------------------------------------------------
+
+ReplyFuture::ReplyFuture(std::shared_ptr<link_internal::RouterCore> core,
+                         std::shared_ptr<link_internal::CallSlot> slot)
+    : core_(std::move(core)), slot_(std::move(slot)) {}
+
+Result<protocol::Message> ReplyFuture::get() {
+  if (slot_ == nullptr) {
+    if (future_.valid()) return future_.get();
+    return FailedPreconditionError("reply future has no state");
+  }
+  (void)core_->Wait(*slot_, std::nullopt);
+  Result<protocol::Message> reply = core_->Take(*slot_);
+  slot_.reset();
+  core_.reset();
+  return reply;
+}
+
+std::future_status ReplyFuture::WaitUntil(
+    std::optional<std::chrono::steady_clock::time_point> deadline) const {
+  if (slot_ != nullptr) return core_->Wait(*slot_, deadline);
+  if (!deadline) {
+    future_.wait();
+    return std::future_status::ready;
+  }
+  return future_.wait_until(*deadline);
+}
+
+// --- ReplyRouter ------------------------------------------------------------
+
+ReplyRouter::ReplyRouter()
+    : core_(std::make_shared<link_internal::RouterCore>()) {}
+
+ReplyRouter::~ReplyRouter() {
+  FailAll(UnavailableError("reply router destroyed"));
+}
+
 ReplyRouter::Issued ReplyRouter::Issue() {
-  MutexLock lock(mutex_);
-  Issued issued;
-  issued.id = NextIdLocked();
-  issued.reply = pending_[issued.id].promise.get_future();
-  return issued;
+  return Track(std::make_shared<CallSlot>());
 }
 
 ReplyRouter::Issued ReplyRouter::Issue(const protocol::Message& request,
                                        bool replayable) {
-  MutexLock lock(mutex_);
-  Issued issued;
-  issued.id = NextIdLocked();
-  Slot& slot = pending_[issued.id];
-  slot.request = request;
-  slot.replayable = replayable;
-  issued.reply = slot.promise.get_future();
-  return issued;
+  auto slot = std::make_shared<CallSlot>();
+  slot->request = request;
+  slot->replayable = replayable;
+  return Track(std::move(slot));
+}
+
+ReplyRouter::Issued ReplyRouter::Track(std::shared_ptr<CallSlot> slot) {
+  MutexLock lock(core_->mutex);
+  const protocol::ReqId id = core_->NextIdLocked();
+  core_->pending.emplace_back(id, slot);
+  return Issued{id, ReplyFuture(core_, std::move(slot))};
+}
+
+SchedulerLink::ReplyFuture ReplyRouter::Park(const protocol::Message& request,
+                                             Parked& parked) {
+  parked.request = request;
+  parked.slot = std::make_shared<CallSlot>();
+  parked.slot->replayable = true;
+  return ReplyFuture(core_, parked.slot);
 }
 
 Status ReplyRouter::Route(std::optional<protocol::ReqId> req_id,
                           Result<protocol::Message> reply) {
-  std::promise<Result<protocol::Message>> promise;
-  {
-    MutexLock lock(mutex_);
-    if (req_id) {
-      auto it = pending_.find(*req_id);
-      if (it == pending_.end()) {
-        // Below the counter: an id we already answered (duplicate). At or
-        // above it: an id this connection never issued. Either way nobody
-        // may receive it.
-        return FailedPreconditionError(
-            *req_id < next_id_
-                ? "duplicate reply for req_id " + std::to_string(*req_id)
-                : "reply for never-issued req_id " + std::to_string(*req_id));
-      }
-      promise = std::move(it->second.promise);
-      pending_.erase(it);
-    } else {
-      // Id-less peer (pre-correlation daemon): replies are FIFO because
-      // that protocol allowed only one call in flight per connection.
-      if (pending_.empty()) {
-        return FailedPreconditionError("id-less reply with no call pending");
-      }
-      auto it = pending_.begin();
-      promise = std::move(it->second.promise);
-      pending_.erase(it);
-    }
-  }
-  promise.set_value(std::move(reply));
-  return Status::Ok();
+  MutexLock lock(core_->mutex);
+  return core_->RouteLocked(req_id, std::move(reply));
 }
 
 void ReplyRouter::FailAll(const Status& status) {
-  std::map<protocol::ReqId, Slot> failed;
-  {
-    MutexLock lock(mutex_);
-    failed.swap(pending_);
+  MutexLock lock(core_->mutex);
+  for (auto& [id, slot] : core_->pending) {
+    core_->CompleteLocked(*slot, Result<protocol::Message>(status));
   }
-  for (auto& [id, slot] : failed) {
-    slot.promise.set_value(Result<protocol::Message>(status));
+  core_->pending.clear();
+}
+
+void ReplyRouter::FailParked(std::vector<Parked>& parked,
+                             const Status& status) {
+  MutexLock lock(core_->mutex);
+  for (auto& call : parked) {
+    core_->CompleteLocked(*call.slot, Result<protocol::Message>(status));
   }
+  parked.clear();
 }
 
 std::vector<ReplyRouter::Parked> ReplyRouter::DrainForReplay(
     const Status& status) {
   std::vector<Parked> replay;
-  std::vector<std::promise<Result<protocol::Message>>> failed;
-  {
-    MutexLock lock(mutex_);
-    // Map order is id order is issue order, so replay preserves FIFO (the
-    // one wraparound lap where that is not strictly true is harmless: the
-    // replayed calls are idempotent and independently correlated).
-    for (auto& [id, slot] : pending_) {
-      if (slot.replayable) {
-        replay.push_back(Parked{std::move(slot.request),
-                                std::move(slot.promise)});
-      } else {
-        failed.push_back(std::move(slot.promise));
-      }
+  MutexLock lock(core_->mutex);
+  // Pending order is issue order, so replay preserves FIFO.
+  for (auto& [id, slot] : core_->pending) {
+    if (slot->replayable) {
+      replay.push_back(Parked{std::move(slot->request), slot});
+    } else {
+      core_->CompleteLocked(*slot, Result<protocol::Message>(status));
     }
-    pending_.clear();
-    next_id_ = 1;  // the next connection is a fresh id space
   }
-  for (auto& promise : failed) {
-    promise.set_value(Result<protocol::Message>(status));
-  }
+  core_->pending.clear();
+  core_->next_id = 1;  // the next connection is a fresh id space
   return replay;
 }
 
 protocol::ReqId ReplyRouter::Reissue(Parked parked) {
-  MutexLock lock(mutex_);
-  const protocol::ReqId id = NextIdLocked();
-  Slot& slot = pending_[id];
-  slot.request = std::move(parked.request);
-  slot.promise = std::move(parked.promise);
-  slot.replayable = true;
+  MutexLock lock(core_->mutex);
+  const protocol::ReqId id = core_->NextIdLocked();
+  parked.slot->request = std::move(parked.request);
+  parked.slot->replayable = true;
+  core_->pending.emplace_back(id, std::move(parked.slot));
   return id;
 }
 
+void ReplyRouter::Attach(std::shared_ptr<ipc::MessageClient> source) {
+  MutexLock lock(core_->mutex);
+  core_->source = std::move(source);
+  core_->PromoteLocked();
+}
+
+void ReplyRouter::Detach() {
+  MutexLock lock(core_->mutex);
+  core_->source.reset();
+  while (core_->reading) core_->reader_left.Wait(core_->mutex);
+}
+
+Status ReplyRouter::DrainFrames(ipc::MessageClient& client) {
+  for (;;) {
+    auto frame = client.RecvFrameView(std::nullopt);
+    if (!frame.ok()) return frame.status();
+    bool unused = false;
+    CONVGPU_RETURN_IF_ERROR(core_->RouteFrame(*frame, nullptr, &unused));
+  }
+}
+
 std::size_t ReplyRouter::pending_count() const {
-  MutexLock lock(mutex_);
-  return pending_.size();
+  MutexLock lock(core_->mutex);
+  return core_->pending.size();
 }
 
 void ReplyRouter::SetNextIdForTesting(protocol::ReqId next) {
-  MutexLock lock(mutex_);
-  next_id_ = next;
+  MutexLock lock(core_->mutex);
+  core_->next_id = next;
 }
 
 // --- SocketSchedulerLink ----------------------------------------------------
@@ -209,6 +445,7 @@ SocketSchedulerLink::SocketSchedulerLink(
   limit_ = limit;
   codec_ = binary ? &protocol::binary_codec() : &protocol::json_codec();
   snapshot_ = options_.snapshot;
+  router_.Attach(client_);
   worker_ = std::thread([this] { WorkerLoop(); });
 }
 
@@ -220,10 +457,12 @@ SocketSchedulerLink::~SocketSchedulerLink() {
     if (broken_.ok()) broken_ = UnavailableError("scheduler link closed");
     client = client_;
   }
-  backoff_cv_.notify_all();      // interrupts a reconnect backoff wait
-  if (client) client->Shutdown();  // wakes a reader blocked in RecvFrame()
+  backoff_cv_.NotifyAll();  // interrupts a reconnect backoff wait
+  // Wakes the hang-up watcher, and a caller blocked reading the socket.
+  if (client) client->Shutdown();
   if (worker_.joinable()) worker_.join();
-  // The worker's exit path has already failed every waiting caller.
+  // The worker's exit path has already failed every waiting caller; their
+  // futures share the router's core, so they stay valid past this point.
 }
 
 void SocketSchedulerLink::SetSnapshotProvider(
@@ -262,33 +501,20 @@ std::string SocketSchedulerLink::wire_codec_name() const {
   return std::string(codec_->name());
 }
 
-Status SocketSchedulerLink::ReadLoop(ipc::MessageClient& client) {
-  for (;;) {
-    auto raw = client.RecvFrame();
-    if (!raw.ok()) return raw.status();
-    // Replies are decoded by sniffing each payload's first byte, not by the
-    // negotiated state: both encodings are always accepted, so a daemon
-    // answering in either (including mid-renegotiation) is never
-    // misinterpreted.
-    const std::optional<protocol::ReqId> req_id =
-        protocol::PeekPayloadReqId(*raw);
-    auto message = protocol::DecodePayload(*raw);
-    if (!message.ok() && !req_id) {
-      // Garbage without even a correlation id: the stream can no longer be
-      // trusted (same as the old reader, where an unparsable frame failed
-      // Recv()). Connection loss; the worker decides reconnect vs fail.
-      return message.status();
-    }
-    const Status routed =
-        message.ok() ? router_.Route(req_id, std::move(*message))
-                     : router_.Route(req_id, Result<protocol::Message>(
-                                                 message.status()));
-    if (!routed.ok()) {
-      CONVGPU_LOG(kWarn, kTag)
-          << "dropping unroutable reply: " << routed.ToString();
-    }
+namespace {
+
+/// Blocks until `client`'s socket hangs up: the peer closed or shut down
+/// its side, or this process called Shutdown(). Asks for POLLRDHUP only, so
+/// replies arriving meanwhile — read by the callers — never wake it.
+void WatchForHangup(const ipc::MessageClient& client) {
+  pollfd pfd{};
+  pfd.fd = client.fd();
+  pfd.events = POLLRDHUP;
+  while (::poll(&pfd, 1, -1) < 0 && errno == EINTR) {
   }
 }
+
+}  // namespace
 
 void SocketSchedulerLink::FailEverything(const Status& status) {
   Status final_status = status;
@@ -304,9 +530,7 @@ void SocketSchedulerLink::FailEverything(const Status& status) {
     waiting.swap(waiting_);
   }
   router_.FailAll(final_status);
-  for (auto& parked : waiting) {
-    parked.promise.set_value(Result<protocol::Message>(final_status));
-  }
+  router_.FailParked(waiting, final_status);
 }
 
 void SocketSchedulerLink::WorkerLoop() {
@@ -316,7 +540,13 @@ void SocketSchedulerLink::WorkerLoop() {
       MutexLock lock(state_mutex_);
       client = client_;
     }
-    const Status receive_error = ReadLoop(*client);
+    WatchForHangup(*client);
+    // Take the connection from the callers: a leader blocked in read wakes
+    // with EOF and steps down, then the replies that arrived before the
+    // hang-up still reach their callers.
+    client->Shutdown();
+    router_.Detach();
+    const Status receive_error = router_.DrainFrames(*client);
     const Status down = UnavailableError("scheduler connection lost: " +
                                          receive_error.ToString());
     {
@@ -387,12 +617,14 @@ bool SocketSchedulerLink::Reconnect() {
         codec->Encode(request, id, scratch);
         const Status sent = client->SendFrame(scratch);
         if (!sent.ok()) {
-          // The fresh connection died already. Force the reader to see it;
-          // the next drain re-parks this (still replayable) call.
+          // The fresh connection died already. Force the watcher to see
+          // it; the next drain re-parks this (still replayable) call.
           client->Shutdown();
           break;
         }
       }
+      // Callers may read the new connection now: one of them is promoted.
+      router_.Attach(client);
       return true;
     }
 
@@ -411,9 +643,8 @@ bool SocketSchedulerLink::Reconnect() {
     {
       MutexLock lock(state_mutex_);
       const auto deadline = std::chrono::steady_clock::now() + backoff;
-      while (!closing_ &&
-             backoff_cv_.wait_until(state_mutex_, deadline) !=
-                 std::cv_status::timeout) {
+      while (!closing_ && backoff_cv_.WaitUntil(state_mutex_, deadline) !=
+                              std::cv_status::timeout) {
       }
       if (closing_) {
         lock.Unlock();
@@ -481,8 +712,7 @@ SchedulerLink::ReplyFuture SocketSchedulerLink::AsyncCall(
       }
       // Park it: completes after the next successful reattach.
       ReplyRouter::Parked parked;
-      parked.request = request;
-      auto future = parked.promise.get_future();
+      auto future = router_.Park(request, parked);
       waiting_.push_back(std::move(parked));
       return future;
     }
@@ -499,14 +729,15 @@ SchedulerLink::ReplyFuture SocketSchedulerLink::AsyncCall(
   const Status sent = client->SendFrame(scratch);
   if (!sent.ok()) {
     if (options_.auto_reconnect) {
-      // Convert any send failure into connection loss: the reader wakes,
-      // the worker drains the router, and this call is parked (replayable)
-      // or failed (alloc-path) by the same rules as a receive-side loss.
+      // Convert any send failure into connection loss: the hang-up watcher
+      // wakes, drains the router, and this call is parked (replayable) or
+      // failed (alloc-path) by the same rules as a receive-side loss.
       client->Shutdown();
     } else {
-      // Complete this slot only; the reader handles connection-level death.
-      // Route can lose the race against the reader's FailAll — then the
-      // future already holds kUnavailable and this is a harmless no-op.
+      // Complete this slot only; the watcher handles connection-level
+      // death. Route can lose the race against the watcher's FailAll —
+      // then the future already holds kUnavailable and this is a harmless
+      // no-op.
       (void)router_.Route(issued.id,
                           Result<protocol::Message>(UnavailableError(
                               "cannot reach scheduler: " + sent.ToString())));

@@ -9,22 +9,47 @@
 //  * DirectSchedulerLink — calls a SchedulerCore in-process (unit tests and
 //    the zero-IPC rung of the transport ablation).
 //
-// The link is *pipelined*: every request carries a protocol::ReqId, a
-// background reader demultiplexes replies back to their callers, and
-// AsyncCall() lets N threads keep N requests outstanding on one socket.
-// In particular a *suspended* alloc_request — parked daemon-side until
-// another container releases memory — no longer blocks sibling threads'
-// calls, commits, or frees. (Earlier versions had no ids on the wire,
-// faithful to the paper, and serialized whole Call() exchanges under a
-// per-link mutex; an id-less peer still works, see ReplyRouter::Route.)
+// The link is *pipelined*: every request carries a protocol::ReqId, replies
+// are demultiplexed back to their callers by a ReplyRouter, and AsyncCall()
+// lets N threads keep N requests outstanding on one socket. In particular a
+// *suspended* alloc_request — parked daemon-side until another container
+// releases memory — no longer blocks sibling threads' calls, commits, or
+// frees. (Earlier versions had no ids on the wire, faithful to the paper,
+// and serialized whole Call() exchanges under a per-link mutex; an id-less
+// peer still works, see ReplyRouter::Route.)
+//
+// Who reads the socket — leader/follower. There is no demux thread on the
+// reply path. A caller waiting on its ReplyFuture *leads*: when no other
+// thread is reading, it reads the socket itself and routes every reply it
+// receives. A reply for another caller completes that caller's slot and
+// wakes only that thread; everyone else waiting is a *follower*, asleep on
+// its own slot. A leader that receives its own reply returns with it at
+// once and hands the reader role to exactly one caller that is still
+// waiting; frames its last read brought along stay in the client's buffer
+// for that caller, who routes them without a syscall. A lone caller therefore pays one send and one
+// read per call, and no thread hand-off at all. wait_for() keeps its
+// deadline while leading: it reads behind a bounded poll, and on timeout
+// hands the role on like any leader.
+//
+// The link's worker thread is only the *hang-up watcher*: it polls the
+// socket for POLLRDHUP and nothing else, so it sleeps through steady-state
+// traffic. On hang-up (peer gone, or a local Shutdown() after a send
+// failure, an unparsable frame, or the link's destruction) it shuts the
+// socket down so a leader blocked in read wakes with EOF, waits for that
+// leader to step down, drains whatever replies arrived before the EOF,
+// and then runs the connection-loss paths: fail everything (legacy link),
+// or fail the non-replayable calls, park the replayable ones, reconnect,
+// reattach, reissue them and install the new connection — whereupon one
+// waiting caller is promoted to lead on it. A caller that was leading on
+// the dead connection simply finds its slot still open and leads again on
+// the new one (a replayed mem_get_info), or finds it failed (an alloc).
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,13 +63,59 @@
 
 namespace convgpu {
 
+namespace link_internal {
+struct CallSlot;
+class RouterCore;
+}  // namespace link_internal
+
+/// Completion of one request/reply exchange: a handle on the call's
+/// completion slot, shaped like std::future (get(), wait(), wait_for()
+/// returning std::future_status). The slot is completed by whichever thread
+/// receives (or synthesizes) the reply; for a suspended allocation that can
+/// be a long time, which is exactly the paper's suspension mechanism. While
+/// a socket link's caller waits, it may read the socket itself (see the
+/// file comment). Also wraps a plain std::future, so links that complete
+/// calls by other means (DirectSchedulerLink, decorators) return one
+/// unchanged. Move-only; a handle may outlive the link that issued it.
+class ReplyFuture {
+ public:
+  ReplyFuture() = default;
+  // NOLINTNEXTLINE(google-explicit-constructor): a std::future is a reply.
+  ReplyFuture(std::future<Result<protocol::Message>> future)
+      : future_(std::move(future)) {}
+  ReplyFuture(ReplyFuture&&) noexcept = default;
+  ReplyFuture& operator=(ReplyFuture&&) noexcept = default;
+  ~ReplyFuture() = default;
+
+  /// Blocks until the reply is in and returns it; the handle is then empty.
+  Result<protocol::Message> get();
+  void wait() const { (void)WaitUntil(std::nullopt); }
+  /// std::future_status::ready or ::timeout (never ::deferred).
+  template <class Rep, class Period>
+  std::future_status wait_for(
+      const std::chrono::duration<Rep, Period>& timeout) const {
+    return WaitUntil(
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            timeout));
+  }
+
+ private:
+  friend class ReplyRouter;
+  ReplyFuture(std::shared_ptr<link_internal::RouterCore> core,
+              std::shared_ptr<link_internal::CallSlot> slot);
+
+  std::future_status WaitUntil(
+      std::optional<std::chrono::steady_clock::time_point> deadline) const;
+
+  std::future<Result<protocol::Message>> future_;
+  std::shared_ptr<link_internal::RouterCore> core_;
+  std::shared_ptr<link_internal::CallSlot> slot_;
+};
+
 class SchedulerLink {
  public:
-  /// Completion of one request/reply exchange. The future is fulfilled by
-  /// whichever thread receives (or synthesizes) the reply; for a suspended
-  /// allocation that can be a long time, which is exactly the paper's
-  /// suspension mechanism.
-  using ReplyFuture = std::future<Result<protocol::Message>>;
+  using ReplyFuture = convgpu::ReplyFuture;
 
   virtual ~SchedulerLink() = default;
 
@@ -63,12 +134,15 @@ class SchedulerLink {
   }
 };
 
-/// Matches replies to outstanding requests by protocol::ReqId. One router
-/// per connection *incarnation*: ids are issued from a connection-scoped
-/// counter starting at 1, and a reconnect resets the space (see
-/// DrainForReplay). Ids wrap within [1, protocol::kMaxWireReqId] — the
-/// wire carries them in a signed JSON integer — skipping any id still
-/// pending after a wrap. Thread-safe.
+/// Matches replies to outstanding requests by protocol::ReqId, and owns the
+/// reader role of the connection it serves (leader/follower, see the file
+/// comment). One router per link; its id space is per connection
+/// *incarnation*: ids are issued from a counter starting at 1, and a
+/// reconnect resets the space (see DrainForReplay). Ids wrap within
+/// [1, protocol::kMaxWireReqId] — the wire carries them in a signed JSON
+/// integer — skipping any id still pending after a wrap. Thread-safe. The
+/// state lives in a shared core that every issued ReplyFuture also holds,
+/// so a future stays usable after the router is gone.
 class ReplyRouter {
  public:
   struct Issued {
@@ -76,13 +150,21 @@ class ReplyRouter {
     SchedulerLink::ReplyFuture reply;
   };
 
-  /// A replay-eligible call pulled out by DrainForReplay: the original
-  /// request plus the promise its caller is still waiting on. Reissue()
-  /// puts it back under a fresh id on the next connection.
+  /// A replay-eligible call pulled out by DrainForReplay (or created by
+  /// Park while the link is down): the original request plus the slot its
+  /// caller is still waiting on. Reissue() puts it back under a fresh id on
+  /// the next connection.
   struct Parked {
     protocol::Message request;
-    std::promise<Result<protocol::Message>> promise;
+    std::shared_ptr<link_internal::CallSlot> slot;
   };
+
+  ReplyRouter();
+  /// Fails whatever is still pending (kUnavailable): no future outliving
+  /// the router waits forever.
+  ~ReplyRouter();
+  ReplyRouter(const ReplyRouter&) = delete;
+  ReplyRouter& operator=(const ReplyRouter&) = delete;
 
   /// Issues the next request id together with the future its reply will
   /// complete. This overload records nothing for replay — on connection
@@ -92,6 +174,12 @@ class ReplyRouter {
   /// Issue() that additionally remembers `request`; when `replayable` the
   /// call survives connection loss via DrainForReplay instead of failing.
   Issued Issue(const protocol::Message& request, bool replayable);
+
+  /// A replayable call made while no connection is up: pending on nothing
+  /// until Reissue(parked). Returns its future; `parked` receives the
+  /// handle.
+  SchedulerLink::ReplyFuture Park(const protocol::Message& request,
+                                  Parked& parked);
 
   /// Completes the pending call `req_id` names. An absent id routes to the
   /// oldest outstanding call — the pre-correlation protocol, where replies
@@ -105,6 +193,9 @@ class ReplyRouter {
   /// Route()s find nothing pending.
   void FailAll(const Status& status);
 
+  /// Fails parked calls that will never be reissued.
+  void FailParked(std::vector<Parked>& parked, const Status& status);
+
   /// Connection loss on a reconnecting link: fails every *non*-replayable
   /// pending call with `status`, returns the replayable ones oldest-first
   /// (their callers keep waiting), and resets the id space to 1 for the
@@ -115,23 +206,26 @@ class ReplyRouter {
   /// caller's original future stays attached — only the id changes.
   protocol::ReqId Reissue(Parked parked);
 
+  /// Reader role. Attach makes `source` the connection waiting callers read
+  /// from, and promotes one of them to lead on it.
+  void Attach(std::shared_ptr<ipc::MessageClient> source);
+  /// Stops callers from reading: returns once no caller is leading. The
+  /// hang-up watcher owns the connection from then on.
+  void Detach();
+  /// After Detach: reads and routes frames from `client` until the stream
+  /// ends, and returns the status that ended it (kAborted on a clean EOF).
+  Status DrainFrames(ipc::MessageClient& client);
+
   [[nodiscard]] std::size_t pending_count() const;
 
   /// Test hook for exercising id wraparound.
   void SetNextIdForTesting(protocol::ReqId next);
 
  private:
-  struct Slot {
-    std::promise<Result<protocol::Message>> promise;
-    protocol::Message request;
-    bool replayable = false;
-  };
+  /// Makes `slot` pending under the next id.
+  Issued Track(std::shared_ptr<link_internal::CallSlot> slot);
 
-  protocol::ReqId NextIdLocked() REQUIRES(mutex_);
-
-  mutable Mutex mutex_;
-  protocol::ReqId next_id_ GUARDED_BY(mutex_) = 1;
-  std::map<protocol::ReqId, Slot> pending_ GUARDED_BY(mutex_);
+  std::shared_ptr<link_internal::RouterCore> core_;
 };
 
 /// Configuration for a reconnect-capable link. Default-constructed options
@@ -214,12 +308,10 @@ class SocketSchedulerLink final : public SchedulerLink {
                       std::string socket_path, Options options,
                       std::uint64_t epoch, Bytes limit, bool binary);
 
-  /// Worker thread: alternates the demultiplexing receive loop with the
-  /// reconnect state machine until close or permanent failure.
+  /// Worker thread: alternates watching the connection for hang-up with
+  /// the connection-loss paths (fail everything, or drain/reconnect/replay)
+  /// until close or permanent failure.
   void WorkerLoop();
-  /// Routes frames to callers by req_id until a receive error, which it
-  /// returns (the worker decides whether that is fatal or a reconnect).
-  Status ReadLoop(ipc::MessageClient& client);
   /// Backoff/connect/reattach loop; true when a fresh connection is
   /// installed, false on close or permanent (reattach-rejected) failure.
   bool Reconnect();
@@ -238,9 +330,9 @@ class SocketSchedulerLink final : public SchedulerLink {
   ReplyRouter router_;
 
   mutable Mutex state_mutex_;
-  std::condition_variable_any backoff_cv_;  // interrupts backoff on close
-  /// Shared so AsyncCall can send outside the lock while the worker swaps
-  /// in a fresh connection.
+  CondVar backoff_cv_;  // interrupts backoff on close
+  /// Shared so AsyncCall can send, and callers read, outside the lock while
+  /// the worker swaps in a fresh connection.
   std::shared_ptr<ipc::MessageClient> client_ GUARDED_BY(state_mutex_);
   LinkState state_ GUARDED_BY(state_mutex_) = LinkState::kConnected;
   Status broken_ GUARDED_BY(state_mutex_);

@@ -59,8 +59,19 @@ Status SchedulerServer::Start() {
     return InternalError("cannot create base dir " + options_.base_dir + ": " +
                          ec.message());
   }
+  {
+    // From here on registrations are served: the main socket accepts the
+    // moment it is bound, before this function returns.
+    MutexLock lock(mutex_);
+    if (serving_) return FailedPreconditionError("scheduler already started");
+    serving_ = true;
+  }
   auto status = reactor_.Start();
-  if (!status.ok()) return status;
+  if (!status.ok()) {
+    MutexLock lock(mutex_);
+    serving_ = false;
+    return status;
+  }
 
   // Re-bind any per-container sockets a previous daemon incarnation left
   // behind, before the main socket opens: reconnecting wrappers find a
@@ -86,16 +97,11 @@ Status SchedulerServer::Start() {
 
   auto main_listener = reactor_.AddListener(
       main_socket_path(),
-      [this](ipc::ListenerId, ipc::ConnectionId conn, std::string payload) {
-        HandleMain(conn, std::move(payload));
-      });
+      [this](ipc::ListenerId, ipc::ConnectionId conn,
+             std::string_view payload) { HandleMain(conn, payload); });
   if (!main_listener.ok()) {
-    reactor_.Stop();
+    Stop();
     return main_listener.status();
-  }
-  {
-    MutexLock lock(mutex_);
-    started_ = true;
   }
   CONVGPU_LOG(kInfo, kTag) << "scheduler listening on " << main_socket_path()
                            << " (policy " << core_.policy_name() << ", capacity "
@@ -106,8 +112,9 @@ Status SchedulerServer::Start() {
 void SchedulerServer::Stop() {
   {
     MutexLock lock(mutex_);
-    if (!started_) return;
-    started_ = false;
+    if (!serving_) return;
+    serving_ = false;
+    for (auto& [id, channel] : channels_) channel->closed = true;
     channels_.clear();
   }
   // One reactor serves every socket: stopping it tears down the main
@@ -116,34 +123,26 @@ void SchedulerServer::Stop() {
 }
 
 void SchedulerServer::Reply(ipc::ConnectionId conn,
+                            const protocol::Codec& codec,
                             const protocol::Message& message,
                             std::optional<protocol::ReqId> req_id) {
-  const protocol::Codec* codec = &protocol::json_codec();
-  {
-    MutexLock lock(mutex_);
-    if (binary_conns_.count(conn) > 0) codec = &protocol::binary_codec();
-  }
   // Per-thread scratch: deferred grants encode on whichever thread released
   // the memory, and reusing the buffer keeps the steady-state encode path
   // allocation-free (see bench/codec_microbench).
   thread_local std::string scratch;
-  codec->Encode(message, req_id, scratch);
+  codec.Encode(message, req_id, scratch);
   (void)reactor_.SendBytes(conn, scratch);
 }
 
-void SchedulerServer::SetConnectionBinary(ipc::ConnectionId conn,
-                                          bool binary) {
-  MutexLock lock(mutex_);
-  if (binary) {
-    if (binary_conns_.insert(conn).second) {
-      CONVGPU_LOG(kDebug, kTag)
-          << "conn " << conn << " negotiated binary encoding";
-    }
-  } else {
-    if (binary_conns_.erase(conn) > 0) {
-      CONVGPU_LOG(kDebug, kTag) << "conn " << conn << " back to json encoding";
-    }
+void SchedulerServer::NegotiateCodec(ConnectionState& state,
+                                     ipc::ConnectionId conn, bool binary) {
+  const protocol::Codec* codec =
+      binary ? &protocol::binary_codec() : &protocol::json_codec();
+  if (state.codec != codec) {
+    CONVGPU_LOG(kDebug, kTag)
+        << "conn " << conn << " negotiated " << codec->name() << " encoding";
   }
+  state.codec = codec;
 }
 
 protocol::RegisterReply SchedulerServer::DoRegister(
@@ -153,7 +152,7 @@ protocol::RegisterReply SchedulerServer::DoRegister(
     // A registration racing Stop() must not add a channel listener that
     // nobody will ever remove.
     MutexLock lock(mutex_);
-    if (!started_) {
+    if (!serving_) {
       reply.error = "scheduler is shutting down";
       return reply;
     }
@@ -184,9 +183,10 @@ protocol::RegisterReply SchedulerServer::DoRegister(
 
   {
     MutexLock lock(mutex_);
-    if (!started_) {
+    if (!serving_) {
       // Stop() ran while the channel was being built; it will never see
       // this channel, so tear it down here.
+      (*channel)->closed = true;
       channels_.erase(request.container_id);
       lock.Unlock();
       (void)reactor_.RemoveListener((*channel)->listener);
@@ -226,14 +226,16 @@ SchedulerServer::EnsureChannel(const std::string& id) {
   channel->dir = dir;
   channel->socket_path = dir + "/convgpu.sock";
   // The container's socket is one more listener on the shared reactor — no
-  // thread or wake-pipe of its own.
+  // thread or wake-pipe of its own. Its handlers hold the channel itself,
+  // so a frame needs no lookup by name.
   auto listener = reactor_.AddListener(
       channel->socket_path,
-      [this, id](ipc::ListenerId, ipc::ConnectionId conn, std::string payload) {
-        HandleContainer(id, conn, std::move(payload));
+      [this, channel, id](ipc::ListenerId, ipc::ConnectionId conn,
+                          std::string_view payload) {
+        HandleContainer(*channel, id, conn, payload);
       },
-      [this, id](ipc::ListenerId, ipc::ConnectionId conn) {
-        HandleContainerDisconnect(id, conn);
+      [this, channel, id](ipc::ListenerId, ipc::ConnectionId conn) {
+        HandleContainerDisconnect(*channel, id, conn);
       });
   if (!listener.ok()) return listener.status();
   channel->listener = *listener;
@@ -244,6 +246,7 @@ SchedulerServer::EnsureChannel(const std::string& id) {
     // Lost a race with a concurrent EnsureChannel for the same id: keep the
     // winner's channel, drop ours.
     auto existing = it->second;
+    channel->closed = true;
     lock.Unlock();
     (void)reactor_.RemoveListener(channel->listener);
     return existing;
@@ -263,6 +266,7 @@ void SchedulerServer::DoContainerClose(const std::string& container_id) {
     auto it = channels_.find(container_id);
     if (it != channels_.end()) {
       channel = it->second;
+      channel->closed = true;
       channels_.erase(it);
     }
   }
@@ -300,20 +304,25 @@ protocol::StatsReply SchedulerServer::BuildStats() const {
   return reply;
 }
 
-void SchedulerServer::HandleMain(ipc::ConnectionId conn, std::string payload) {
+void SchedulerServer::HandleMain(ipc::ConnectionId conn,
+                                 std::string_view payload) {
+  // The main socket never negotiates: tooling and nvidia-docker speak JSON.
+  const protocol::Codec& json = protocol::json_codec();
   std::optional<protocol::ReqId> req_id;
   auto dispatched = protocol::DispatchFrame(
       payload, req_id,
       protocol::Visitor{
           [&](const protocol::RegisterContainer& request) {
-            Reply(conn, DoRegister(request), req_id);
+            Reply(conn, json, DoRegister(request), req_id);
           },
           [&](const protocol::ContainerClose& close) {
             DoContainerClose(close.container_id);
           },
-          [&](const protocol::Ping&) { Reply(conn, protocol::Pong{}, req_id); },
+          [&](const protocol::Ping&) {
+            Reply(conn, json, protocol::Pong{}, req_id);
+          },
           [&](const protocol::StatsRequest&) {
-            Reply(conn, BuildStats(), req_id);
+            Reply(conn, json, BuildStats(), req_id);
           },
           [&](const auto& other) {
             CONVGPU_LOG(kWarn, kTag)
@@ -327,22 +336,16 @@ void SchedulerServer::HandleMain(ipc::ConnectionId conn, std::string payload) {
   }
 }
 
-void SchedulerServer::HandleContainer(const std::string& container_id,
+void SchedulerServer::HandleContainer(ContainerChannel& channel,
+                                      const std::string& container_id,
                                       ipc::ConnectionId conn,
-                                      std::string payload) {
-  std::shared_ptr<ContainerChannel> channel;
-  {
-    MutexLock lock(mutex_);
-    auto it = channels_.find(container_id);
-    if (it == channels_.end()) return;  // closed concurrently
-    channel = it->second;
-  }
+                                      std::string_view payload) {
+  if (channel.closed.load(std::memory_order_acquire)) return;
+  ConnectionState& state = channel.connections[conn];
+  const protocol::Codec& codec = *state.codec;
 
   // Record the speaking pid for crash cleanup.
-  auto note_pid = [&](Pid pid) {
-    MutexLock lock(channel->pids_mutex);
-    channel->pids_by_conn[conn].insert(pid);
-  };
+  auto note_pid = [&](Pid pid) { state.pids.insert(pid); };
 
   std::optional<protocol::ReqId> req_id;
   auto dispatched = protocol::DispatchFrame(
@@ -359,11 +362,11 @@ void SchedulerServer::HandleContainer(const std::string& container_id,
             // pipelined link issued in between.
             core_.RequestAlloc(
                 container_id, request.pid, request.size,
-                [this, conn, req_id](const Status& status) {
+                [this, conn, codec = &codec, req_id](const Status& status) {
                   protocol::AllocReply reply;
                   reply.granted = status.ok();
                   if (!status.ok()) reply.error = status.ToString();
-                  Reply(conn, reply, req_id);
+                  Reply(conn, *codec, reply, req_id);
                 });
           },
           [&](const protocol::AllocCommit& commit) {
@@ -384,18 +387,19 @@ void SchedulerServer::HandleContainer(const std::string& container_id,
               reply.free = result->free;
               reply.total = result->total;
             }
-            Reply(conn, reply, req_id);
+            Reply(conn, codec, reply, req_id);
           },
           [&](const protocol::ProcessExit& exit) {
             (void)core_.ProcessExit(container_id, exit.pid);
-            MutexLock lock(channel->pids_mutex);
-            for (auto& [cid, pids] : channel->pids_by_conn) {
-              pids.erase(exit.pid);
+            for (auto& [id, other] : channel.connections) {
+              other.pids.erase(exit.pid);
             }
           },
-          [&](const protocol::Ping&) { Reply(conn, protocol::Pong{}, req_id); },
+          [&](const protocol::Ping&) {
+            Reply(conn, codec, protocol::Pong{}, req_id);
+          },
           [&](const protocol::StatsRequest&) {
-            Reply(conn, BuildStats(), req_id);
+            Reply(conn, codec, BuildStats(), req_id);
           },
           [&](const protocol::Hello& hello) {
             note_pid(hello.pid);
@@ -414,16 +418,16 @@ void SchedulerServer::HandleContainer(const std::string& container_id,
             const bool binary =
                 reply.ok && hello.binary && options_.enable_binary;
             reply.binary = binary;
-            Reply(conn, reply, req_id);
-            SetConnectionBinary(conn, binary);
+            Reply(conn, codec, reply, req_id);
+            NegotiateCodec(state, conn, binary);
           },
           [&](const protocol::Reattach& reattach) {
-            auto reply = DoReattach(container_id, *channel, conn, reattach);
+            auto reply = DoReattach(container_id, channel, conn, reattach);
             const bool binary =
                 reply.ok && reattach.binary && options_.enable_binary;
             reply.binary = binary;
-            Reply(conn, reply, req_id);
-            SetConnectionBinary(conn, binary);
+            Reply(conn, codec, reply, req_id);
+            NegotiateCodec(state, conn, binary);
           },
           [&](const auto& other) {
             CONVGPU_LOG(kWarn, kTag)
@@ -496,13 +500,10 @@ protocol::ReattachReply SchedulerServer::DoReattach(
   }
   // Re-home the pid to the reattaching connection: a stale connection's
   // late disconnect must not reclaim the memory just restored.
-  {
-    MutexLock lock(channel.pids_mutex);
-    for (auto& [other_conn, pids] : channel.pids_by_conn) {
-      pids.erase(request.pid);
-    }
-    channel.pids_by_conn[conn].insert(request.pid);
+  for (auto& [other_conn, other] : channel.connections) {
+    other.pids.erase(request.pid);
   }
+  channel.connections[conn].pids.insert(request.pid);
   CONVGPU_LOG(kInfo, kTag) << "reattached pid " << request.pid << " in "
                            << container_id << " ("
                            << request.allocations.size() << " allocations, "
@@ -511,25 +512,14 @@ protocol::ReattachReply SchedulerServer::DoReattach(
   return reply;
 }
 
-void SchedulerServer::HandleContainerDisconnect(const std::string& container_id,
+void SchedulerServer::HandleContainerDisconnect(ContainerChannel& channel,
+                                                const std::string& container_id,
                                                 ipc::ConnectionId conn) {
-  std::shared_ptr<ContainerChannel> channel;
-  {
-    MutexLock lock(mutex_);
-    binary_conns_.erase(conn);  // codec choice dies with the connection
-    auto it = channels_.find(container_id);
-    if (it == channels_.end()) return;
-    channel = it->second;
-  }
-  std::set<Pid> orphans;
-  {
-    MutexLock lock(channel->pids_mutex);
-    auto it = channel->pids_by_conn.find(conn);
-    if (it != channel->pids_by_conn.end()) {
-      orphans = std::move(it->second);
-      channel->pids_by_conn.erase(it);
-    }
-  }
+  auto it = channel.connections.find(conn);
+  if (it == channel.connections.end()) return;
+  const std::set<Pid> orphans = std::move(it->second.pids);
+  channel.connections.erase(it);  // the codec choice dies with it
+  if (channel.closed.load(std::memory_order_acquire)) return;
   // A process that vanished without process_exit (crash, SIGKILL) still
   // gets its GPU memory reclaimed — robustness beyond the paper.
   for (Pid pid : orphans) {

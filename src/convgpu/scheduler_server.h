@@ -14,6 +14,7 @@
 // ListenerId on that reactor, added at registration and removed at close.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <set>
@@ -21,6 +22,7 @@
 
 #include "common/mutex.h"
 #include "common/result.h"
+#include "convgpu/codec.h"
 #include "convgpu/protocol.h"
 #include "convgpu/scheduler_core.h"
 #include "ipc/message_server.h"
@@ -76,21 +78,38 @@ class SchedulerServer {
   [[nodiscard]] std::uint64_t session_epoch() const { return session_epoch_; }
 
  private:
+  /// What the daemon keeps per connection. Created on a connection's first
+  /// frame and erased on its disconnect — reactor thread only, so the frame
+  /// path reads it without a lock.
+  struct ConnectionState {
+    /// Negotiated in hello/reattach: JSON until the peer and this daemon
+    /// both opt into binary. Per connection, not per container — one
+    /// container can host an old JSON wrapper and a new binary one side by
+    /// side — and it dies with the connection (ids are never reused), so a
+    /// reconnecting peer renegotiates from a clean JSON slate.
+    const protocol::Codec* codec = &protocol::json_codec();
+    /// Pids that spoke on this connection — lets a crashed process (socket
+    /// dropped without process_exit) still be cleaned up.
+    std::set<Pid> pids;
+  };
+
   struct ContainerChannel {
     ipc::ListenerId listener = 0;  // this container's socket on the reactor
     std::string socket_path;
     std::string dir;
-    Mutex pids_mutex;
-    // pids that spoke on each connection — lets a crashed process (socket
-    // dropped without process_exit) still be cleaned up.
-    std::map<ipc::ConnectionId, std::set<Pid>> pids_by_conn
-        GUARDED_BY(pids_mutex);
+    /// Set by close (and Stop): frames still arriving on the channel's
+    /// draining connections are ignored from then on.
+    std::atomic<bool> closed{false};
+    /// Reactor thread only (every handler runs there).
+    std::map<ipc::ConnectionId, ConnectionState> connections;
   };
 
-  void HandleMain(ipc::ConnectionId conn, std::string payload);
-  void HandleContainer(const std::string& container_id,
-                       ipc::ConnectionId conn, std::string payload);
-  void HandleContainerDisconnect(const std::string& container_id,
+  void HandleMain(ipc::ConnectionId conn, std::string_view payload);
+  void HandleContainer(ContainerChannel& channel,
+                       const std::string& container_id,
+                       ipc::ConnectionId conn, std::string_view payload);
+  void HandleContainerDisconnect(ContainerChannel& channel,
+                                 const std::string& container_id,
                                  ipc::ConnectionId conn);
   protocol::RegisterReply DoRegister(const protocol::RegisterContainer& request);
   void DoContainerClose(const std::string& container_id);
@@ -108,17 +127,20 @@ class SchedulerServer {
   Result<std::shared_ptr<ContainerChannel>> EnsureChannel(
       const std::string& id);
   protocol::StatsReply BuildStats() const;
-  /// Encodes `message` with the connection's negotiated codec (JSON unless
-  /// the hello/reattach handshake agreed on binary) and queues it on
-  /// `conn`, echoing the correlation id of the request it answers (absent
-  /// for id-less old clients); a failed send (vanished client, backpressure
-  /// kick) is the client's problem, not the daemon's. Safe from any thread
-  /// — deferred grants fire from whichever thread releases memory.
-  void Reply(ipc::ConnectionId conn, const protocol::Message& message,
+  /// Encodes `message` with `codec` (the connection's negotiated encoding)
+  /// and queues it on `conn`, echoing the correlation id of the request it
+  /// answers (absent for id-less old clients); a failed send (vanished
+  /// client, backpressure kick) is the client's problem, not the daemon's.
+  /// Safe from any thread — deferred grants fire from whichever thread
+  /// releases memory.
+  void Reply(ipc::ConnectionId conn, const protocol::Codec& codec,
+             const protocol::Message& message,
              std::optional<protocol::ReqId> req_id);
-  /// Records (or clears) `conn`'s negotiated encoding after a hello or
-  /// reattach handshake.
-  void SetConnectionBinary(ipc::ConnectionId conn, bool binary);
+  /// Records `conn`'s encoding after a hello or reattach handshake. Takes
+  /// effect for the frames after the handshake reply, which itself rode
+  /// the old encoding.
+  static void NegotiateCodec(ConnectionState& state, ipc::ConnectionId conn,
+                             bool binary);
 
   SchedulerServerOptions options_;
   /// Declared before core_ so a grant callback firing during core_ teardown
@@ -135,13 +157,11 @@ class SchedulerServer {
   /// cross-epoch reattaches for these are accepted; a fresh DoRegister
   /// erases the mark and stale reattaches are rejected from then on.
   std::set<std::string> reattach_built_ GUARDED_BY(mutex_);
-  /// Connections that negotiated the binary encoding. Codec choice is
-  /// per-connection state, not per-container: one container can host an
-  /// old JSON wrapper and a new binary one side by side, and the choice
-  /// must die with the connection (ids are never reused) so a reconnecting
-  /// peer renegotiates from a clean JSON slate.
-  std::set<ipc::ConnectionId> binary_conns_ GUARDED_BY(mutex_);
-  bool started_ GUARDED_BY(mutex_) = false;
+  /// From the start of Start() until Stop(). Starting counts as serving:
+  /// the main socket accepts as soon as Start() binds it, before Start()
+  /// returns, and a registration in that window is served. Only a stopped
+  /// daemon refuses one.
+  bool serving_ GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace convgpu

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -24,17 +25,8 @@ void SetNonBlocking(int fd) {
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-std::string FrameBytes(std::string_view payload) {
-  std::string frame;
-  frame.reserve(payload.size() + 4);
-  const auto n = static_cast<std::uint32_t>(payload.size());
-  frame.push_back(static_cast<char>((n >> 24) & 0xFF));
-  frame.push_back(static_cast<char>((n >> 16) & 0xFF));
-  frame.push_back(static_cast<char>((n >> 8) & 0xFF));
-  frame.push_back(static_cast<char>(n & 0xFF));
-  frame += payload;
-  return frame;
-}
+/// Input-buffer growth step: one read(2) takes up to this much free space.
+constexpr std::size_t kReadChunk = 4096;
 
 }  // namespace
 
@@ -63,6 +55,7 @@ Status MessageServer::StartLocked() {
   }
   PollerAdd(wake_read_.get(), kWakeKey);
   running_ = true;
+  flush_pending_ = false;
   reactor_ = std::thread([this] { Run(); });
   return Status::Ok();
 }
@@ -74,9 +67,8 @@ Status MessageServer::Start(const std::string& path,
   MessageHandler wrapped_message;
   if (on_message) {
     wrapped_message = [handler = std::move(on_message)](
-                          ListenerId, ConnectionId conn, std::string payload) {
-      handler(conn, std::move(payload));
-    };
+                          ListenerId, ConnectionId conn,
+                          std::string_view payload) { handler(conn, payload); };
   }
   DisconnectHandler wrapped_disconnect;
   if (on_disconnect) {
@@ -135,7 +127,11 @@ Status MessageServer::RemoveListener(ListenerId listener) {
         dirty_.push_back(conn_id);
       }
     }
-    WakeLocked();
+    if (reactor_tid_ == std::this_thread::get_id()) {
+      flush_pending_ = true;
+    } else {
+      WakeLocked();
+    }
   }
   return Status::Ok();
 }
@@ -147,36 +143,44 @@ void MessageServer::WakeLocked() {
   [[maybe_unused]] const ssize_t n = ::write(wake_write_.get(), &byte, 1);
 }
 
+void MessageServer::MarkDirtyLocked(ConnectionId id) {
+  dirty_.push_back(id);
+  if (reactor_tid_ == std::this_thread::get_id()) {
+    flush_pending_ = true;  // the reactor flushes at the end of this pass
+  } else {
+    WakeLocked();
+  }
+}
+
 Status MessageServer::SendBytes(ConnectionId conn, std::string_view payload) {
-  {
-    MutexLock lock(mutex_);
-    auto it = connections_.find(conn);
-    if (it == connections_.end()) {
-      return NotFoundError("connection " + std::to_string(conn) + " gone");
-    }
-    Connection& connection = it->second;
-    std::string frame = FrameBytes(payload);
-    if (connection.queued_bytes + frame.size() >
-        options_.max_queued_bytes_per_connection) {
-      // Backpressure: a consumer that stopped reading must not grow the
-      // queue unboundedly — disconnect it instead.
-      CONVGPU_LOG(kWarn, kTag)
-          << "disconnecting connection " << conn << ": write queue over cap ("
-          << connection.queued_bytes << " + " << frame.size() << " > "
-          << options_.max_queued_bytes_per_connection << " bytes)";
-      connection.kicked = true;
-      ++kicked_[connection.listener];
-      dirty_.push_back(conn);
-      if (reactor_tid_ != std::this_thread::get_id()) WakeLocked();
-      return ResourceExhaustedError("connection " + std::to_string(conn) +
-                                    " write queue over cap");
-    }
-    connection.queued_bytes += frame.size();
-    connection.write_queue.push_back(std::move(frame));
-    dirty_.push_back(conn);
-    // The reactor flushes dirty connections at the end of the current
-    // iteration; only foreign threads need to interrupt the wait.
-    if (reactor_tid_ != std::this_thread::get_id()) WakeLocked();
+  MutexLock lock(mutex_);
+  auto it = connections_.find(conn);
+  if (it == connections_.end()) {
+    return NotFoundError("connection " + std::to_string(conn) + " gone");
+  }
+  Connection& connection = it->second;
+  const std::size_t frame_size = kFrameHeaderBytes + payload.size();
+  const std::size_t queued = connection.out.size() - connection.out_sent;
+  if (queued + frame_size > options_.max_queued_bytes_per_connection) {
+    // Backpressure: a consumer that stopped reading must not grow the
+    // buffer unboundedly — disconnect it instead.
+    CONVGPU_LOG(kWarn, kTag)
+        << "disconnecting connection " << conn << ": write queue over cap ("
+        << queued << " + " << frame_size << " > "
+        << options_.max_queued_bytes_per_connection << " bytes)";
+    connection.kicked = true;
+    ++kicked_[connection.listener];
+    MarkDirtyLocked(conn);
+    return ResourceExhaustedError("connection " + std::to_string(conn) +
+                                  " write queue over cap");
+  }
+  AppendFrame(connection.out, payload);
+  if (reactor_tid_ == std::this_thread::get_id()) {
+    // A handler answering at once: write now, under this same lock.
+    WriteLocked(connection, conn);
+    if (connection.failed) MarkDirtyLocked(conn);  // dropped after dispatch
+  } else {
+    MarkDirtyLocked(conn);
   }
   return Status::Ok();
 }
@@ -186,8 +190,7 @@ void MessageServer::CloseConnection(ConnectionId conn) {
   auto it = connections_.find(conn);
   if (it == connections_.end()) return;
   it->second.closing = true;
-  dirty_.push_back(conn);
-  if (reactor_tid_ != std::this_thread::get_id()) WakeLocked();
+  MarkDirtyLocked(conn);
 }
 
 void MessageServer::Stop() {
@@ -241,6 +244,11 @@ std::uint64_t MessageServer::total_kicked_connections() const {
   return total;
 }
 
+MessageServer::Connection* MessageServer::ReactorFind(ConnectionId id) {
+  auto it = connections_.find(id);
+  return it == connections_.end() ? nullptr : &it->second;
+}
+
 void MessageServer::DropConnection(ConnectionId id) {
   ListenerId listener = 0;
   std::shared_ptr<const Callbacks> callbacks;
@@ -277,67 +285,82 @@ void MessageServer::AcceptPending(ListenerId id) {
   }
 }
 
-void MessageServer::HandleReadable(ConnectionId id) {
-  // Drain available bytes into the connection's read buffer, then peel off
-  // complete frames. The handler may call SendBytes()/CloseConnection(),
-  // which take the mutex, so the payloads are copied out before dispatching.
-  std::vector<std::string> messages;
-  ListenerId listener = 0;
-  std::shared_ptr<const Callbacks> callbacks;
-  bool drop = false;
-  {
-    MutexLock lock(mutex_);
-    auto it = connections_.find(id);
-    if (it == connections_.end()) return;
-    Connection& conn = it->second;
-    listener = conn.listener;
-    callbacks = conn.callbacks;
+bool MessageServer::HandleReadable(ConnectionId id) {
+  // No lock: the input side of a connection is the reactor's alone, and
+  // handlers cannot erase the connection under us (drops happen only here
+  // in the loop, after dispatch).
+  Connection* conn = ReactorFind(id);
+  if (conn == nullptr) return false;
+  if (conn->in.size() - conn->in_end < kReadChunk / 2) {
+    conn->in.resize(std::max(conn->in.size() * 2, conn->in_end + kReadChunk));
+  }
+  const ssize_t n = ::read(conn->fd.get(), conn->in.data() + conn->in_end,
+                           conn->in.size() - conn->in_end);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+    return false;
+  }
+  if (n <= 0) {  // peer closed, or a read error
+    DropConnection(id);
+    return false;
+  }
+  conn->in_end += static_cast<std::size_t>(n);
 
-    char chunk[4096];
-    for (;;) {
-      const ssize_t n = ::read(conn.fd.get(), chunk, sizeof(chunk));
-      if (n > 0) {
-        conn.read_buffer.append(chunk, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        drop = true;  // peer closed
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      drop = true;
+  // Peel complete frames off in place. The reactor does not interpret the
+  // payload — codec concerns (JSON vs binary, malformed data) belong to the
+  // handler.
+  const Callbacks* callbacks = conn->callbacks.get();
+  std::size_t pos = 0;
+  bool malformed = false;
+  while (conn->in_end - pos >= kFrameHeaderBytes) {
+    const std::uint32_t length = FrameLength(conn->in.data() + pos);
+    if (length > kMaxFrameBytes) {
+      CONVGPU_LOG(kWarn, kTag) << "dropping connection " << id
+                               << ": oversized frame " << length;
+      malformed = true;
       break;
     }
+    if (conn->in_end - pos < kFrameHeaderBytes + length) break;
+    if (callbacks != nullptr && callbacks->on_message) {
+      callbacks->on_message(
+          conn->listener, id,
+          std::string_view(conn->in.data() + pos + kFrameHeaderBytes, length));
+    }
+    pos += kFrameHeaderBytes + length;
+  }
+  if (malformed) {
+    DropConnection(id);
+    return false;
+  }
+  // Keep only the partial frame, at the front.
+  if (pos == conn->in_end) {
+    conn->in_end = 0;
+  } else if (pos > 0) {
+    std::memmove(conn->in.data(), conn->in.data() + pos, conn->in_end - pos);
+    conn->in_end -= pos;
+  }
+  return true;
+}
 
-    // Extract complete frames.
-    while (conn.read_buffer.size() >= 4) {
-      const auto* b =
-          reinterpret_cast<const unsigned char*>(conn.read_buffer.data());
-      const std::uint32_t length = (static_cast<std::uint32_t>(b[0]) << 24) |
-                                   (static_cast<std::uint32_t>(b[1]) << 16) |
-                                   (static_cast<std::uint32_t>(b[2]) << 8) |
-                                   static_cast<std::uint32_t>(b[3]);
-      if (length > kMaxFrameBytes) {
-        CONVGPU_LOG(kWarn, kTag) << "dropping connection " << id
-                                 << ": oversized frame " << length;
-        drop = true;
-        break;
+void MessageServer::WriteLocked(Connection& conn, ConnectionId id) {
+  while (conn.out_sent < conn.out.size()) {
+    const ssize_t n =
+        ::send(conn.fd.get(), conn.out.data() + conn.out_sent,
+               conn.out.size() - conn.out_sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        PollerWantWrite(conn, id, true);
+        return;
       }
-      if (conn.read_buffer.size() < 4 + length) break;
-      // The reactor does not interpret the payload — codec concerns
-      // (JSON vs binary, malformed data) belong to the handler.
-      messages.emplace_back(conn.read_buffer, 4, length);
-      conn.read_buffer.erase(0, 4 + static_cast<std::size_t>(length));
+      conn.failed = true;
+      return;
     }
+    conn.out_sent += static_cast<std::size_t>(n);
   }
-
-  if (callbacks && callbacks->on_message) {
-    for (auto& message : messages) {
-      callbacks->on_message(listener, id, std::move(message));
-    }
-  }
-  if (drop) DropConnection(id);
+  // Drained: rewind, keeping the capacity for the next reply.
+  conn.out.clear();
+  conn.out_sent = 0;
+  PollerWantWrite(conn, id, false);
 }
 
 void MessageServer::HandleWritable(ConnectionId id) {
@@ -347,55 +370,33 @@ void MessageServer::HandleWritable(ConnectionId id) {
     auto it = connections_.find(id);
     if (it == connections_.end()) return;
     Connection& conn = it->second;
-    while (!conn.write_queue.empty()) {
-      const std::string& frame = conn.write_queue.front();
-      const ssize_t n =
-          ::send(conn.fd.get(), frame.data() + conn.write_offset,
-                 frame.size() - conn.write_offset, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          PollerWantWrite(conn, id, true);
-          return;
-        }
-        if (errno == EINTR) continue;
-        drop = true;
-        break;
-      }
-      conn.write_offset += static_cast<std::size_t>(n);
-      if (conn.write_offset == frame.size()) {
-        conn.queued_bytes -= frame.size();
-        conn.write_queue.pop_front();
-        conn.write_offset = 0;
-      }
-    }
-    if (!drop) {
-      PollerWantWrite(conn, id, false);
-      if (conn.closing && conn.write_queue.empty()) drop = true;
-    }
+    WriteLocked(conn, id);
+    drop = conn.failed || (conn.closing && conn.out.empty());
   }
   if (drop) DropConnection(id);
 }
 
-void MessageServer::FlushDirty() {
-  std::vector<ConnectionId> dirty;
+bool MessageServer::FlushDirty() {
+  std::vector<ConnectionId> drop;
+  bool running = false;
   {
     MutexLock lock(mutex_);
-    dirty.swap(dirty_);
-  }
-  for (const ConnectionId id : dirty) {
-    bool kicked = false;
-    {
-      MutexLock lock(mutex_);
+    running = running_;
+    for (const ConnectionId id : dirty_) {
       auto it = connections_.find(id);
       if (it == connections_.end()) continue;
-      kicked = it->second.kicked;
+      Connection& conn = it->second;
+      // Over the write cap there is no point flushing; a failed write
+      // cannot be retried.
+      if (!conn.kicked && !conn.failed) WriteLocked(conn, id);
+      if (conn.kicked || conn.failed || (conn.closing && conn.out.empty())) {
+        drop.push_back(id);
+      }
     }
-    if (kicked) {
-      DropConnection(id);  // over the write cap: no point flushing
-    } else {
-      HandleWritable(id);
-    }
+    dirty_.clear();
   }
+  for (const ConnectionId id : drop) DropConnection(id);
+  return running;
 }
 
 void MessageServer::PollerAdd(int fd, std::uint64_t key) {
@@ -426,10 +427,6 @@ void MessageServer::Run() {
   }
   std::array<epoll_event, 64> events;
   for (;;) {
-    {
-      MutexLock lock(mutex_);
-      if (!running_) break;
-    }
     const int ready = ::epoll_wait(epoll_.get(), events.data(),
                                    static_cast<int>(events.size()), 1000);
     if (ready < 0) {
@@ -438,6 +435,10 @@ void MessageServer::Run() {
           << "epoll_wait failed: " << std::strerror(errno);
       break;
     }
+    // Other threads always write the wake pipe after queueing work (and
+    // Stop() after clearing running_), so the lock is taken only when there
+    // is something to flush — or once a second on an idle timeout.
+    bool flush = ready == 0;
     for (std::size_t i = 0; i < static_cast<std::size_t>(ready); ++i) {
       const std::uint64_t key = events[i].data.u64;
       const std::uint32_t mask = events[i].events;
@@ -445,6 +446,7 @@ void MessageServer::Run() {
         char sink[64];
         while (::read(wake_read_.get(), sink, sizeof(sink)) > 0) {
         }
+        flush = true;
         continue;
       }
       if ((key & 1u) != 0) {
@@ -453,17 +455,20 @@ void MessageServer::Run() {
       }
       const ConnectionId id = key >> 1;
       if ((mask & (EPOLLERR | EPOLLHUP)) != 0) {
-        // Read anything pending first so final messages are not lost.
-        HandleReadable(id);
+        // Read everything still pending first so final messages are not
+        // lost, then drop.
+        while (HandleReadable(id)) {
+        }
         DropConnection(id);
         continue;
       }
       if ((mask & EPOLLIN) != 0) HandleReadable(id);
       if ((mask & EPOLLOUT) != 0) HandleWritable(id);
     }
-    // Flush replies queued by handlers during dispatch (and by SendBytes() from
-    // other threads), and drop kicked connections.
-    FlushDirty();
+    if (flush || flush_pending_) {
+      flush_pending_ = false;
+      if (!FlushDirty()) break;
+    }
   }
 }
 
@@ -487,22 +492,76 @@ Status MessageClient::SendFrame(std::string_view payload) {
   return WriteFrame(fd_.get(), payload);
 }
 
-Result<std::string> MessageClient::RecvFrame() { return ReadFrame(fd_.get()); }
-
-Result<std::string> MessageClient::RecvFrame(std::chrono::milliseconds timeout) {
-  pollfd pfd{};
-  pfd.fd = fd_.get();
-  pfd.events = POLLIN;
+Result<std::string_view> MessageClient::RecvFrameView(
+    std::optional<Deadline> deadline) {
   for (;;) {
-    const int ready = ::poll(&pfd, 1, static_cast<int>(timeout.count()));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return InternalError(std::string("poll(recv): ") + std::strerror(errno));
+    const std::size_t available = in_end_ - in_begin_;
+    std::size_t needed = kFrameHeaderBytes;
+    if (available >= kFrameHeaderBytes) {
+      const std::uint32_t length = FrameLength(in_.data() + in_begin_);
+      if (length > kMaxFrameBytes) {
+        return InternalError("oversized frame: " + std::to_string(length));
+      }
+      needed += length;
+      if (available >= needed) {
+        const std::string_view payload(
+            in_.data() + in_begin_ + kFrameHeaderBytes, length);
+        in_begin_ += needed;
+        if (in_begin_ == in_end_) in_begin_ = in_end_ = 0;
+        return payload;
+      }
     }
-    if (ready == 0) return DeadlineExceededError("recv: timed out");
-    break;
+    // Not a whole frame yet: move the partial one to the front and make room
+    // for the rest (and for whatever else one read can bring along).
+    if (in_begin_ > 0) {
+      std::memmove(in_.data(), in_.data() + in_begin_, available);
+      in_begin_ = 0;
+      in_end_ = available;
+    }
+    if (in_.size() < std::max(needed, kReadChunk)) {
+      in_.resize(std::max(needed, kReadChunk));
+    }
+    if (deadline) {
+      pollfd pfd{};
+      pfd.fd = fd_.get();
+      pfd.events = POLLIN;
+      const auto remaining = std::chrono::ceil<std::chrono::milliseconds>(
+          *deadline - std::chrono::steady_clock::now());
+      const auto wait_ms = std::max<std::int64_t>(remaining.count(), 0);
+      const int ready = ::poll(&pfd, 1, static_cast<int>(wait_ms));
+      if (ready < 0) {
+        if (errno == EINTR) continue;
+        return InternalError(std::string("poll(recv): ") +
+                             std::strerror(errno));
+      }
+      if (ready == 0) return DeadlineExceededError("recv: timed out");
+    }
+    const ssize_t n =
+        ::read(fd_.get(), in_.data() + in_end_, in_.size() - in_end_);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return InternalError(std::string("read: ") + std::strerror(errno));
+    }
+    if (n == 0) {
+      if (available == 0) return AbortedError("connection closed");
+      // EOF inside a frame is a protocol error, not a clean close.
+      return InternalError("EOF inside frame");
+    }
+    in_end_ += static_cast<std::size_t>(n);
   }
-  return ReadFrame(fd_.get());
+}
+
+Result<std::string> MessageClient::RecvFrame() {
+  auto frame = RecvFrameView(std::nullopt);
+  if (!frame.ok()) return frame.status();
+  return std::string(*frame);
+}
+
+Result<std::string> MessageClient::RecvFrame(
+    std::chrono::milliseconds timeout) {
+  auto frame = RecvFrameView(std::chrono::steady_clock::now() + timeout);
+  if (!frame.ok()) return frame.status();
+  return std::string(*frame);
 }
 
 void MessageClient::Shutdown() { ::shutdown(fd_.get(), SHUT_RDWR); }

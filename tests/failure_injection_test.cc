@@ -318,7 +318,7 @@ TEST_F(FailureInjectionTest, PeerDisconnectBetweenSendAndReceiveIsTyped) {
   const std::string path = dir.path() + "/rude.sock";
   ipc::MessageServer rude;
   ASSERT_TRUE(rude.Start(path,
-                         [&rude](ipc::ConnectionId conn, std::string) {
+                         [&rude](ipc::ConnectionId conn, std::string_view) {
                            rude.CloseConnection(conn);  // no reply, ever
                          })
                   .ok());

@@ -71,7 +71,7 @@ class FaultScheduler {
     auto tarpit = std::make_unique<ipc::MessageServer>();
     auto status = tarpit->Start();
     if (!status.ok()) return status;
-    auto swallow = [](ipc::ListenerId, ipc::ConnectionId, std::string) {};
+    auto swallow = [](ipc::ListenerId, ipc::ConnectionId, std::string_view) {};
     auto listener = tarpit->AddListener(main_socket_path(), swallow);
     if (!listener.ok()) return listener.status();
     std::error_code ec;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sys/ioctl.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -135,8 +137,9 @@ class MessageServerTest : public ::testing::Test {
 TEST_F(MessageServerTest, EchoesImmediately) {
   ASSERT_TRUE(server_
                   .Start(SocketPath(),
-                         [this](ConnectionId conn, std::string payload) {
-                           (void)server_.SendBytes(conn, "echo:" + payload);
+                         [this](ConnectionId conn, std::string_view payload) {
+                           (void)server_.SendBytes(
+                               conn, "echo:" + std::string(payload));
                          })
                   .ok());
 
@@ -153,7 +156,8 @@ TEST_F(MessageServerTest, CarriesOpaqueBytes) {
   // Start/SendBytes/SendFrame/RecvFrame path untouched.
   ASSERT_TRUE(server_
                   .Start(SocketPath(),
-                         [this](ConnectionId conn, std::string payload) {
+                         [this](ConnectionId conn, std::string_view view) {
+                           std::string payload(view);
                            payload.push_back('!');
                            (void)server_.SendBytes(conn, payload);
                          })
@@ -177,7 +181,7 @@ TEST_F(MessageServerTest, DeferredReplyFromAnotherThread) {
 
   ASSERT_TRUE(server_
                   .Start(SocketPath(),
-                         [&](ConnectionId conn, std::string) {
+                         [&](ConnectionId conn, std::string_view) {
                            std::lock_guard lock(mutex);
                            waiting = conn;
                            cv.notify_one();
@@ -202,7 +206,7 @@ TEST_F(MessageServerTest, DisconnectHandlerFires) {
   std::atomic<int> disconnects{0};
   ASSERT_TRUE(server_
                   .Start(
-                      SocketPath(), [](ConnectionId, std::string) {},
+                      SocketPath(), [](ConnectionId, std::string_view) {},
                       [&](ConnectionId) { ++disconnects; })
                   .ok());
   {
@@ -220,7 +224,7 @@ TEST_F(MessageServerTest, ManyConcurrentClients) {
   std::atomic<int> received{0};
   ASSERT_TRUE(server_
                   .Start(SocketPath(),
-                         [&](ConnectionId conn, std::string payload) {
+                         [&](ConnectionId conn, std::string_view payload) {
                            ++received;
                            (void)server_.SendBytes(conn, payload);
                          })
@@ -248,13 +252,13 @@ TEST_F(MessageServerTest, ManyConcurrentClients) {
 
 TEST_F(MessageServerTest, SendToUnknownConnectionIsNotFound) {
   ASSERT_TRUE(
-      server_.Start(SocketPath(), [](ConnectionId, std::string) {}).ok());
+      server_.Start(SocketPath(), [](ConnectionId, std::string_view) {}).ok());
   EXPECT_EQ(server_.SendBytes(9999, "x").code(), StatusCode::kNotFound);
 }
 
 TEST_F(MessageServerTest, StopIsIdempotent) {
   ASSERT_TRUE(
-      server_.Start(SocketPath(), [](ConnectionId, std::string) {}).ok());
+      server_.Start(SocketPath(), [](ConnectionId, std::string_view) {}).ok());
   server_.Stop();
   server_.Stop();
 }
@@ -269,7 +273,7 @@ TEST_F(MessageServerTest, MultipleListenersShareOneReactor) {
                  const std::string& tag) -> ListenerId {
     auto id = server_.AddListener(
         path,
-        [&, tag](ListenerId listener, ConnectionId conn, std::string) {
+        [&, tag](ListenerId listener, ConnectionId conn, std::string_view) {
           (void)server_.SendBytes(conn,
                                   tag + ":" + std::to_string(listener));
         },
@@ -311,7 +315,7 @@ TEST_F(MessageServerTest, RemoveListenerUnlinksPathAndDropsConnections) {
   std::atomic<int> disconnects{0};
   auto id = server_.AddListener(
       SocketPath(),
-      [&](ListenerId, ConnectionId conn, std::string payload) {
+      [&](ListenerId, ConnectionId conn, std::string_view payload) {
         (void)server_.SendBytes(conn, payload);
       },
       [&](ListenerId, ConnectionId) { ++disconnects; });
@@ -349,11 +353,11 @@ TEST_F(MessageServerTest, HandlersSurviveRemoveListenerForLiveConnections) {
   ASSERT_TRUE(server_.Start().ok());
   auto a = server_.AddListener(
       dir_.path() + "/a.sock",
-      [&](ListenerId, ConnectionId conn, std::string payload) {
+      [&](ListenerId, ConnectionId conn, std::string_view payload) {
         (void)server_.SendBytes(conn, payload);
       });
   auto b = server_.AddListener(dir_.path() + "/b.sock",
-                               [](ListenerId, ConnectionId, std::string) {});
+                               [](ListenerId, ConnectionId, std::string_view) {});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
 
@@ -383,7 +387,7 @@ TEST(MessageServerBackpressureTest, SlowConsumerIsDisconnected) {
   ASSERT_TRUE(server
                   .Start(
                       path,
-                      [&](ConnectionId conn, std::string) {
+                      [&](ConnectionId conn, std::string_view) {
                         std::lock_guard lock(mutex);
                         victim = conn;
                         cv.notify_one();
@@ -423,13 +427,13 @@ TEST(MessageServerBackpressureTest, SlowConsumerIsDisconnected) {
 
 TEST(MessageClientTest, ShutdownTwiceIsSafeAndWakesBlockedRecv) {
   // Shutdown() is documented idempotent and callable from any thread: the
-  // demux reader calls it on teardown while the reconnect worker may call
-  // it again on a send failure. Both orders must leave a client whose
+  // link's hang-up watcher calls it on teardown while a caller may call it
+  // again on a send failure. Both orders must leave a client whose
   // blocked RecvFrame() has woken and whose later calls fail cleanly.
   TempDir dir;
   MessageServer server;
   const std::string path = dir.path() + "/srv.sock";
-  ASSERT_TRUE(server.Start(path, [](ConnectionId, std::string) {}).ok());
+  ASSERT_TRUE(server.Start(path, [](ConnectionId, std::string_view) {}).ok());
 
   auto client = MessageClient::ConnectUnix(path);
   ASSERT_TRUE(client.ok());
@@ -443,6 +447,132 @@ TEST(MessageClientTest, ShutdownTwiceIsSafeAndWakesBlockedRecv) {
 
   EXPECT_FALSE((*client)->SendFrame("late").ok());
   EXPECT_FALSE((*client)->RecvFrame().ok());
+}
+
+// --- Buffered receive side of MessageClient ---------------------------------
+
+/// A MessageClient connected to a bare accepted socket, so a test writes
+/// exactly the bytes (and the write boundaries) it wants the client to see.
+class MessageClientBufferTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto listener = UnixListener::Bind(dir_.path() + "/raw.sock");
+    ASSERT_TRUE(listener.ok());
+    auto client = MessageClient::ConnectUnix(listener->path());
+    ASSERT_TRUE(client.ok());
+    auto peer = listener->Accept();
+    ASSERT_TRUE(peer.ok());
+    client_ = std::move(*client);
+    peer_ = std::move(*peer);
+  }
+
+  /// One write(2) carrying `bytes`.
+  void WriteRaw(const std::string& bytes) {
+    ASSERT_TRUE(WriteExact(peer_.get(), bytes.data(), bytes.size()).ok());
+  }
+
+  /// Bytes still queued in the client's socket, i.e. not yet read into its
+  /// buffer.
+  int UnreadBytes() const {
+    int unread = -1;
+    EXPECT_EQ(::ioctl(client_->fd(), FIONREAD, &unread), 0);
+    return unread;
+  }
+
+  static std::string Frames(std::initializer_list<std::string_view> payloads) {
+    std::string bytes;
+    for (std::string_view payload : payloads) AppendFrame(bytes, payload);
+    return bytes;
+  }
+
+  TempDir dir_;
+  std::unique_ptr<MessageClient> client_;
+  Fd peer_;
+};
+
+TEST_F(MessageClientBufferTest, TwoFramesInOneWriteComeBackFromTwoReceives) {
+  WriteRaw(Frames({"first", "second"}));
+  auto first = client_->RecvFrame();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(*first, "first");
+  // One read brought both: the second is already buffered.
+  EXPECT_EQ(UnreadBytes(), 0);
+  auto second = client_->RecvFrame();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(*second, "second");
+}
+
+TEST_F(MessageClientBufferTest, TimedReceiveServesTheBufferWithoutWaiting) {
+  WriteRaw(Frames({"one", "two"}));
+  ASSERT_TRUE(client_->RecvFrame().ok());  // the read takes both frames
+  // The socket is empty now; a zero timeout can only succeed from the
+  // buffer, never by polling the socket.
+  ASSERT_EQ(UnreadBytes(), 0);
+  auto buffered = client_->RecvFrame(std::chrono::milliseconds(0));
+  ASSERT_TRUE(buffered.ok()) << buffered.status().ToString();
+  EXPECT_EQ(*buffered, "two");
+  // And with nothing buffered the same call times out instead of blocking.
+  EXPECT_EQ(client_->RecvFrame(std::chrono::milliseconds(0)).status().code(),
+            StatusCode::kDeadlineExceeded);
+}
+
+TEST_F(MessageClientBufferTest, FrameSplitAcrossReadsIsReassembled) {
+  const std::string payload(100, 'p');
+  const std::string bytes = Frames({payload, "tail"});
+  // Half a header, then half the payload, then the rest: each timed receive
+  // buffers what arrived and times out without losing it.
+  WriteRaw(bytes.substr(0, 2));
+  EXPECT_EQ(client_->RecvFrame(std::chrono::milliseconds(0)).status().code(),
+            StatusCode::kDeadlineExceeded);
+  WriteRaw(bytes.substr(2, 50));
+  EXPECT_EQ(client_->RecvFrame(std::chrono::milliseconds(0)).status().code(),
+            StatusCode::kDeadlineExceeded);
+  WriteRaw(bytes.substr(52));
+  auto whole = client_->RecvFrame();
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(*whole, payload);
+  auto tail = client_->RecvFrame();
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  EXPECT_EQ(*tail, "tail");
+}
+
+TEST_F(MessageClientBufferTest, OversizedLengthIsRejectedFromTheHeader) {
+  // Only the header is sent: a client that waited to buffer the announced
+  // payload would time out instead of failing typed at once.
+  std::string header;
+  AppendFrame(header, "");
+  const auto length = static_cast<std::uint32_t>(kMaxFrameBytes + 1);
+  header[0] = static_cast<char>(length >> 24);
+  header[1] = static_cast<char>((length >> 16) & 0xFF);
+  header[2] = static_cast<char>((length >> 8) & 0xFF);
+  header[3] = static_cast<char>(length & 0xFF);
+  WriteRaw(header);
+  auto frame = client_->RecvFrame(std::chrono::seconds(5));
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kInternal);
+  EXPECT_NE(frame.status().message().find("oversized"), std::string::npos);
+}
+
+TEST_F(MessageClientBufferTest, EofInsideAFrameIsATypedError) {
+  WriteRaw(Frames({"complete"}) + Frames({"truncated"}).substr(0, 7));
+  auto complete = client_->RecvFrame();
+  ASSERT_TRUE(complete.ok());
+  EXPECT_EQ(*complete, "complete");
+  peer_.Reset();  // the peer dies three bytes into the next payload
+  auto truncated = client_->RecvFrame();
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), StatusCode::kInternal);
+  EXPECT_NE(truncated.status().message().find("EOF inside frame"),
+            std::string::npos);
+  // A clean EOF between frames stays kAborted.
+  EXPECT_NE(truncated.status().code(), StatusCode::kAborted);
+}
+
+TEST_F(MessageClientBufferTest, CleanEofBetweenFramesIsAborted) {
+  WriteRaw(Frames({"last"}));
+  peer_.Reset();
+  ASSERT_TRUE(client_->RecvFrame().ok());
+  EXPECT_EQ(client_->RecvFrame().status().code(), StatusCode::kAborted);
 }
 
 TEST(MessageServerRaceTest, RemoveListenerRacesUndeliveredDeferredReply) {
@@ -461,7 +591,7 @@ TEST(MessageServerRaceTest, RemoveListenerRacesUndeliveredDeferredReply) {
     std::optional<ConnectionId> conn;
     auto listener = server.AddListener(
         dir.path() + "/srv.sock",
-        [&](ListenerId, ConnectionId c, std::string) {
+        [&](ListenerId, ConnectionId c, std::string_view) {
           std::lock_guard lock(mutex);
           conn = c;
           cv.notify_one();
@@ -507,7 +637,7 @@ TEST(MessageServerBackpressureTest, KicksAreCountedPerListener) {
   std::mutex mutex;
   std::condition_variable cv;
   std::optional<ConnectionId> victim;
-  auto on_message = [&](ListenerId, ConnectionId conn, std::string) {
+  auto on_message = [&](ListenerId, ConnectionId conn, std::string_view) {
     std::lock_guard lock(mutex);
     victim = conn;
     cv.notify_one();
@@ -558,7 +688,7 @@ TEST(MessageServerRaceTest, AddListenerDuringStopFailsCleanly) {
       for (int i = 0; i < 8; ++i) {
         auto id = server.AddListener(
             dir.path() + "/race-" + std::to_string(i) + ".sock",
-            [](ListenerId, ConnectionId, std::string) {});
+            [](ListenerId, ConnectionId, std::string_view) {});
         if (!id.ok()) {
           EXPECT_EQ(id.status().code(), StatusCode::kFailedPrecondition);
         }
@@ -571,7 +701,7 @@ TEST(MessageServerRaceTest, AddListenerDuringStopFailsCleanly) {
     // leftover state.
     ASSERT_TRUE(server.Start().ok());
     auto id = server.AddListener(dir.path() + "/after.sock",
-                                 [](ListenerId, ConnectionId, std::string) {});
+                                 [](ListenerId, ConnectionId, std::string_view) {});
     EXPECT_TRUE(id.ok()) << id.status().ToString();
     server.Stop();
   }

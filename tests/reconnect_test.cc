@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <thread>
 #include <vector>
@@ -387,6 +388,75 @@ TEST_F(ReconnectTest, SameEpochBlipRestoresReclaimedMemory) {
     auto s = fault_->core().StatsFor("c1");
     return s.has_value() && s->used == 64_MiB + 66_MiB;
   }));
+  EXPECT_TRUE(fault_->core().CheckInvariants().ok());
+}
+
+TEST_F(ReconnectTest, RestartWhileACallerLeadsARead) {
+  // The first incarnation answers only the hello, so the caller of a
+  // mem_get_info is left leading a read on that connection, next to an
+  // outstanding alloc. When the daemon dies the leader wakes with EOF and
+  // steps down; the alloc is not replay-safe and fails typed, while the
+  // mem_get_info is replayed — and the same caller, its slot still open,
+  // leads again on the new connection and gets the new daemon's answer.
+  fault_->Down();
+  const std::string path = fault_->container_socket_path("c1");
+  std::filesystem::create_directories(
+      std::filesystem::path(path).parent_path());
+  std::atomic<int> swallowed{0};
+  auto first = std::make_unique<ipc::MessageServer>();
+  ASSERT_TRUE(
+      first
+          ->Start(path,
+                  [&](ipc::ConnectionId conn, std::string_view payload) {
+                    auto request = protocol::DecodePayload(payload);
+                    if (request.ok() &&
+                        std::holds_alternative<protocol::Hello>(*request)) {
+                      protocol::HelloReply reply;
+                      reply.ok = true;
+                      reply.epoch = 42;
+                      reply.limit = 1_GiB;
+                      (void)first->SendBytes(
+                          conn, protocol::EncodePayload(
+                                    protocol::json_codec(),
+                                    protocol::Message(reply),
+                                    protocol::PeekPayloadReqId(payload)));
+                      return;
+                    }
+                    ++swallowed;  // never answered
+                  })
+          .ok());
+
+  auto link = SocketSchedulerLink::Connect(path, FastOptions("c1", 7));
+  ASSERT_TRUE(link.ok()) << link.status().ToString();
+  protocol::MemGetInfoRequest probe;
+  probe.pid = 7;
+  auto info = (*link)->AsyncCall(protocol::Message(probe));
+  protocol::AllocRequest alloc;
+  alloc.container_id = "c1";
+  alloc.pid = 7;
+  alloc.size = 64_MiB;
+  auto admission = (*link)->AsyncCall(protocol::Message(alloc));
+  Result<protocol::Message> info_result = InternalError("not set");
+  std::thread leader([&] { info_result = info.get(); });
+  ASSERT_TRUE(WaitUntil([&] { return swallowed == 2; }));
+
+  first->Stop();  // the daemon dies under the blocked leader
+  first.reset();
+  ASSERT_TRUE(fault_->Up().ok());  // re-binds the socket, accepts reattach
+
+  ASSERT_EQ(admission.wait_for(30s), std::future_status::ready);
+  auto admitted = admission.get();
+  ASSERT_FALSE(admitted.ok());
+  EXPECT_EQ(admitted.status().code(), StatusCode::kUnavailable);
+
+  leader.join();
+  auto reply = protocol::Expect<protocol::MemInfoReply>(std::move(info_result));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->total, 1_GiB);  // the limit the reattach carried over
+  EXPECT_EQ((*link)->reconnect_count(), 1u);
+  EXPECT_EQ((*link)->replayed_call_count(), 1u);
+  EXPECT_EQ((*link)->session_epoch(), fault_->server().session_epoch());
+  EXPECT_EQ((*link)->outstanding_calls(), 0u);
   EXPECT_TRUE(fault_->core().CheckInvariants().ok());
 }
 

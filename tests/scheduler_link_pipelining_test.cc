@@ -196,7 +196,7 @@ class ReorderingServer {
   ReorderingServer(const std::string& path, std::size_t wave_size)
       : wave_size_(wave_size) {
     const Status started = server_.Start(
-        path, [this](ipc::ConnectionId conn, std::string payload) {
+        path, [this](ipc::ConnectionId conn, std::string_view payload) {
           OnFrame(conn, payload);
         });
     EXPECT_TRUE(started.ok()) << started.ToString();
@@ -206,7 +206,7 @@ class ReorderingServer {
 
  private:
   // Runs on the reactor thread only — no locking needed.
-  void OnFrame(ipc::ConnectionId conn, const std::string& payload) {
+  void OnFrame(ipc::ConnectionId conn, std::string_view payload) {
     const auto req_id = protocol::PeekPayloadReqId(payload);
     auto parsed = protocol::DecodePayload(payload);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -318,7 +318,7 @@ class RecordingEchoServer {
  public:
   explicit RecordingEchoServer(const std::string& path) {
     const Status started = server_.Start(
-        path, [this](ipc::ConnectionId conn, std::string payload) {
+        path, [this](ipc::ConnectionId conn, std::string_view payload) {
           const auto id = protocol::PeekPayloadReqId(payload);
           {
             MutexLock lock(mutex_);
@@ -364,6 +364,93 @@ TEST(SchedulerLinkPipeliningTest, ReconnectGetsAFreshIdSpace) {
   EXPECT_EQ(server.seen(), (std::vector<protocol::ReqId>{1, 2, 3, 1}));
 }
 
+// --- Caller-driven reads (leader/follower) ----------------------------------
+
+protocol::MemGetInfoRequest NoncedProbe(Pid nonce) {
+  protocol::MemGetInfoRequest request;
+  request.container_id = "c";
+  request.pid = nonce;
+  return request;
+}
+
+TEST(SchedulerLinkPipeliningTest, OneThreadWaitsOnEightCallsInReverseOrder) {
+  // No other thread reads for this caller: its first wait leads, reads the
+  // whole reversed wave, and completes the seven calls nobody waits on yet.
+  constexpr int kCalls = 8;
+  TempDir dir;
+  const std::string path = dir.path() + "/reverse.sock";
+  ReorderingServer server(path, kCalls);
+  auto link = SocketSchedulerLink::Connect(path);
+  ASSERT_TRUE(link.ok());
+
+  std::vector<SchedulerLink::ReplyFuture> futures;
+  for (int i = 0; i < kCalls; ++i) {
+    futures.push_back((*link)->AsyncCall(
+        protocol::Message(NoncedProbe(static_cast<Pid>(500 + i)))));
+  }
+  for (int i = kCalls - 1; i >= 0; --i) {
+    auto& future = futures[static_cast<std::size_t>(i)];
+    ASSERT_EQ(future.wait_for(kGenerousTimeout), std::future_status::ready);
+    auto reply = protocol::Expect<protocol::MemInfoReply>(future.get());
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->free, static_cast<Bytes>(500 + i));  // its own reply
+  }
+  EXPECT_EQ((*link)->outstanding_calls(), 0u);
+}
+
+TEST(SchedulerLinkPipeliningTest, ReplyFutureOutlivesItsLink) {
+  // A silent peer, two calls outstanding, and the link destroyed under
+  // them: one caller is blocked leading a read at that moment, the other
+  // future is only read after the link is gone. Both get kUnavailable; the
+  // futures share the router's state, so nothing dangles (ASan leg).
+  TempDir dir;
+  const std::string path = dir.path() + "/silent.sock";
+  ipc::MessageServer silent;
+  std::atomic<int> received{0};
+  ASSERT_TRUE(silent
+                  .Start(path, [&](ipc::ConnectionId, std::string_view) {
+                    ++received;
+                  })
+                  .ok());
+  auto link = SocketSchedulerLink::Connect(path);
+  ASSERT_TRUE(link.ok());
+
+  SchedulerLink::ReplyFuture late =
+      (*link)->AsyncCall(protocol::Message(protocol::Ping{}));
+  SchedulerLink::ReplyFuture led =
+      (*link)->AsyncCall(protocol::Message(protocol::Ping{}));
+  Result<protocol::Message> led_result = InternalError("not set");
+  std::thread leader([&led, &led_result] { led_result = led.get(); });
+  ASSERT_TRUE(convgpu::testing::WaitUntil([&] { return received == 2; }));
+
+  link->reset();  // the link dies with both calls in flight
+  leader.join();
+  ASSERT_FALSE(led_result.ok());
+  EXPECT_EQ(led_result.status().code(), StatusCode::kUnavailable);
+  ASSERT_EQ(late.wait_for(kGenerousTimeout), std::future_status::ready);
+  auto late_result = late.get();
+  ASSERT_FALSE(late_result.ok());
+  EXPECT_EQ(late_result.status().code(), StatusCode::kUnavailable);
+  silent.Stop();
+}
+
+TEST(SchedulerLinkPipeliningTest, DroppedFutureDoesNotWedgeTheLink) {
+  // A caller drops its future unread. Its reply still arrives; the next
+  // caller to lead routes it into the orphaned slot and then gets its own.
+  TempDir dir;
+  const std::string path = dir.path() + "/echo.sock";
+  RecordingEchoServer server(path);
+  auto link = SocketSchedulerLink::Connect(path);
+  ASSERT_TRUE(link.ok());
+
+  { auto dropped = (*link)->AsyncCall(protocol::Message(protocol::Ping{})); }
+  auto pong = (*link)->Call(protocol::Message(protocol::Ping{}));
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_TRUE(std::holds_alternative<protocol::Pong>(*pong));
+  EXPECT_EQ((*link)->outstanding_calls(), 0u);
+  EXPECT_EQ(server.seen(), (std::vector<protocol::ReqId>{1, 2}));
+}
+
 TEST(SchedulerLinkPipeliningTest, BlockingCallRejectsMismatchedEcho) {
   // protocol::Call over a raw client refuses a reply correlated to some
   // *other* request instead of silently consuming it.
@@ -373,7 +460,7 @@ TEST(SchedulerLinkPipeliningTest, BlockingCallRejectsMismatchedEcho) {
   ASSERT_TRUE(
       server
           .Start(path,
-                 [&server](ipc::ConnectionId conn, std::string payload) {
+                 [&server](ipc::ConnectionId conn, std::string_view payload) {
                    const auto id = protocol::PeekPayloadReqId(payload);
                    (void)server.SendBytes(
                        conn, protocol::EncodePayload(

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
+#include <optional>
 #include <thread>
 
 #include "convgpu/codec.h"
@@ -298,6 +300,51 @@ TEST_F(SchedulerServerTest, NvDockerRegistersOverSocket) {
   EXPECT_EQ(prepared->first.env.at("LD_PRELOAD"),
             std::string(kContainerConvgpuDir) + "/libgpushare.so");
   EXPECT_EQ(server_->core().StatsFor("sockjob")->limit, 256_MiB);
+}
+
+TEST(SchedulerServerStartTest, RegistrationRacingStartIsServed) {
+  // The main socket accepts as soon as Start() binds it, which is before
+  // Start() returns. A registration landing in that window must be served,
+  // not refused as "shutting down": starting is not stopped. The window is
+  // a few instructions wide, so each round races a client that registers
+  // the moment the socket appears; any refusal fails the test.
+  constexpr int kRounds = 200;
+  int refused = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    TempDir dir;
+    SchedulerServerOptions options;
+    options.base_dir = dir.path();
+    options.scheduler.capacity = 1_GiB;
+    SchedulerServer server(std::move(options));
+    const std::string path = server.main_socket_path();
+
+    std::atomic<bool> stop{false};
+    std::optional<protocol::RegisterReply> reply;
+    std::thread early([&] {
+      while (!stop) {
+        auto client = ipc::MessageClient::ConnectUnix(path);
+        if (!client.ok()) continue;  // not bound yet: try again at once
+        protocol::RegisterContainer request;
+        request.container_id = "early";
+        request.memory_limit = 256_MiB;
+        auto answer = protocol::Expect<protocol::RegisterReply>(
+            protocol::Call(**client, protocol::Message(request)));
+        if (answer.ok()) reply = *answer;
+        return;
+      }
+    });
+    const Status started = server.Start();
+    if (!started.ok()) stop = true;  // nobody will ever bind the socket
+    early.join();  // otherwise it returns once its registration is answered
+    ASSERT_TRUE(started.ok()) << started.ToString();
+    ASSERT_TRUE(reply.has_value()) << "round " << round;
+    if (!reply->ok) {
+      ++refused;
+      ADD_FAILURE() << "round " << round << ": " << reply->error;
+    }
+    server.Stop();
+  }
+  EXPECT_EQ(refused, 0);
 }
 
 }  // namespace

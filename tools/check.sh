@@ -9,8 +9,9 @@
 #   5. asan      — -fsanitize=address,undefined build + full ctest suite
 #   6. format    — clang-format --dry-run on tracked sources (skipped if absent)
 #   7. pipelining — the link-concurrency suites only (ReplyRouter demux,
-#                  reordered replies, daemon-death fault paths, the 64x4
-#                  hammer) under BOTH TSan and ASan; the fast loop for work
+#                  caller-led reads, reordered replies, daemon-death fault
+#                  paths, the 64x4 hammer, the reactor and the buffered
+#                  client) under BOTH TSan and ASan; the fast loop for work
 #                  on scheduler_link/protocol/ipc. Subset of legs 4+5.
 #   8. reconnect — the daemon-restart suites (fault harness, reattach and
 #                  replay paths, RestoreProcess reconciliation) under BOTH
@@ -23,8 +24,9 @@
 #
 # The gcc leg additionally runs the codec microbenchmark and the decode-
 # fuzzer seed corpus as must-complete smoke: the microbench enforces the
-# zero-allocation steady-state encode contract (exits nonzero on
-# regression), the fuzzer replays its deterministic corpus.
+# zero-allocation steady-state contracts for the encoders and for a whole
+# reactor round trip (exits nonzero on regression), the fuzzer replays its
+# deterministic corpus.
 #
 # Clang legs are advisory on machines without clang; set CONVGPU_REQUIRE_CLANG=1
 # to turn those skips into failures (CI with clang installed should do this).
@@ -134,7 +136,9 @@ asan_impl() {
       ctest --test-dir "${ROOT}/build-asan" --output-on-failure -j "${JOBS}"
 }
 
-PIPELINING_FILTER='ReplyRouter|SchedulerLinkPipelining|PipelinedLink|ProtocolTest|FailureInjection|Hammer'
+# MessageServer/MessageClient cover the reactor and the buffered client the
+# link's callers read through; SchedulerServerStart the daemon's readiness.
+PIPELINING_FILTER='ReplyRouter|SchedulerLinkPipelining|PipelinedLink|ProtocolTest|FailureInjection|Hammer|MessageServer|MessageClient|SchedulerServerStart'
 
 leg_pipelining() {
   note "leg: pipelining concurrency suites under TSan + ASan"
