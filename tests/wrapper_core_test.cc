@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "convgpu/scheduler_core.h"
@@ -156,11 +158,16 @@ TEST_F(WrapperCoreTest, UnregisterFatBinaryReportsProcessExit) {
 }
 
 /// Forwards to a real CUDA API and appends the driver-context teardown to a
-/// shared event log.
+/// shared event log. An after-free hook, when set, runs once right after
+/// the next successful device free — the moment the address is reusable.
 class RecordingCudaApi final : public cudasim::CudaApi {
  public:
   RecordingCudaApi(cudasim::CudaApi* inner, std::vector<std::string>* log)
       : inner_(inner), log_(log) {}
+
+  void set_after_free(std::function<void()> hook) {
+    after_free_ = std::move(hook);
+  }
 
   CudaError Malloc(DevicePtr* p, std::size_t size) override {
     return inner_->Malloc(p, size);
@@ -176,7 +183,13 @@ class RecordingCudaApi final : public cudasim::CudaApi {
   CudaError MallocManaged(DevicePtr* p, std::size_t size) override {
     return inner_->MallocManaged(p, size);
   }
-  CudaError Free(DevicePtr p) override { return inner_->Free(p); }
+  CudaError Free(DevicePtr p) override {
+    const CudaError error = inner_->Free(p);
+    if (error == CudaError::kSuccess) {
+      if (auto hook = std::exchange(after_free_, nullptr)) hook();
+    }
+    return error;
+  }
   CudaError MemGetInfo(std::size_t* free_bytes,
                        std::size_t* total_bytes) override {
     return inner_->MemGetInfo(free_bytes, total_bytes);
@@ -217,6 +230,7 @@ class RecordingCudaApi final : public cudasim::CudaApi {
  private:
   cudasim::CudaApi* inner_;
   std::vector<std::string>* log_;
+  std::function<void()> after_free_;
 };
 
 /// Forwards to a real link and appends every one-way notify to the same
@@ -288,6 +302,40 @@ TEST_F(WrapperCoreTest, DeviceFailureAfterAdmissionRollsBackReservation) {
   EXPECT_TRUE(core_.CheckInvariants().ok());
 }
 
+TEST_F(WrapperCoreTest, FreeReachesTheLedgerBeforeTheAddressIsReused) {
+  // A sibling thread's cudaMalloc runs between the device free and the
+  // rest of Free, and the device hands it the address just released. Its
+  // alloc_commit must not reach the ledger while the old allocation still
+  // holds that address, and the late bookkeeping of the first free must
+  // not erase the sibling's live entry.
+  std::vector<std::string> log;
+  RecordingCudaApi device_api(&inner_, &log);
+  WrapperCore wrapper(&device_api, &link_, kPid);
+
+  DevicePtr first = cudasim::kNullDevicePtr;
+  ASSERT_EQ(wrapper.Malloc(&first, static_cast<std::size_t>(1_MiB)),
+            CudaError::kSuccess);
+  DevicePtr second = cudasim::kNullDevicePtr;
+  device_api.set_after_free([&] {
+    std::thread sibling([&] {
+      EXPECT_EQ(wrapper.Malloc(&second, static_cast<std::size_t>(1_MiB)),
+                CudaError::kSuccess);
+    });
+    sibling.join();
+  });
+  ASSERT_EQ(wrapper.Free(first), CudaError::kSuccess);
+  ASSERT_EQ(second, first) << "the device did not reuse the freed address";
+
+  EXPECT_EQ(wrapper.LiveAllocations(),
+            (std::vector<protocol::LiveAlloc>{{.address = second,
+                                               .size = 1_MiB}}));
+  EXPECT_EQ(core_.StatsFor("c1")->used, 1_MiB + kOverhead);
+
+  ASSERT_EQ(wrapper.Free(second), CudaError::kSuccess);
+  EXPECT_EQ(core_.StatsFor("c1")->used, kOverhead);
+  EXPECT_TRUE(wrapper.LiveAllocations().empty());
+  EXPECT_TRUE(core_.CheckInvariants().ok());
+}
 
 TEST_F(WrapperCoreTest, ConcurrentUserThreadsStayConsistent) {
   // Multi-threaded user programs call cudaMalloc/cudaFree from several
