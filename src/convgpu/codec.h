@@ -11,6 +11,11 @@
 //    then the struct's fields in declaration order (LEB128 varints,
 //    length-prefixed strings, 1-byte bools, 8-byte little-endian doubles).
 //
+// Neither codec has per-message code: both walk the kWire field table each
+// wire struct carries in protocol.h (fields in declaration order, JSON key,
+// required / optional / omitted-at-default). Adding a field means editing
+// the struct and its table row, nothing else.
+//
 // The first payload byte discriminates the encodings: binary payloads
 // start with kBinaryMagic (>= 0x80), which can never begin a JSON document
 // — so *decoders accept both encodings unconditionally* (DetectCodec), and

@@ -7,28 +7,7 @@ namespace convgpu::protocol {
 
 std::string_view TypeName(const Message& message) {
   return std::visit(
-      [](const auto& m) -> std::string_view {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, RegisterContainer>) return "register_container";
-        else if constexpr (std::is_same_v<T, RegisterReply>) return "register_reply";
-        else if constexpr (std::is_same_v<T, AllocRequest>) return "alloc_request";
-        else if constexpr (std::is_same_v<T, AllocReply>) return "alloc_reply";
-        else if constexpr (std::is_same_v<T, AllocCommit>) return "alloc_commit";
-        else if constexpr (std::is_same_v<T, AllocAbort>) return "alloc_abort";
-        else if constexpr (std::is_same_v<T, FreeNotify>) return "free";
-        else if constexpr (std::is_same_v<T, MemGetInfoRequest>) return "mem_get_info";
-        else if constexpr (std::is_same_v<T, MemInfoReply>) return "mem_info_reply";
-        else if constexpr (std::is_same_v<T, ProcessExit>) return "process_exit";
-        else if constexpr (std::is_same_v<T, ContainerClose>) return "container_close";
-        else if constexpr (std::is_same_v<T, Ping>) return "ping";
-        else if constexpr (std::is_same_v<T, Pong>) return "pong";
-        else if constexpr (std::is_same_v<T, StatsRequest>) return "stats";
-        else if constexpr (std::is_same_v<T, StatsReply>) return "stats_reply";
-        else if constexpr (std::is_same_v<T, Hello>) return "hello";
-        else if constexpr (std::is_same_v<T, HelloReply>) return "hello_reply";
-        else if constexpr (std::is_same_v<T, Reattach>) return "reattach";
-        else return "reattach_reply";
-      },
+      [](const auto& m) { return kWire<std::decay_t<decltype(m)>>.type; },
       message);
 }
 

@@ -11,12 +11,21 @@
 //                                mem_get_info         (request/reply)
 //   plugin         → scheduler : container_close      (one-way)
 //   tooling        → scheduler : ping, stats          (request/reply)
+//
+// Each wire struct is followed by its kWire table: the struct's fields in
+// declaration order, each with its JSON key and JSON rule, plus the "type"
+// string of a Message alternative. The codecs (codec.h) walk these tables
+// and nothing else, so adding a field means adding it to the struct and a
+// row to its table.
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -27,11 +36,66 @@
 
 namespace convgpu::protocol {
 
+/// How the JSON encoding treats a field. The binary encoding carries every
+/// field, always.
+enum class JsonRule : std::uint8_t {
+  kRequired,  // decode fails "<type>: missing field '<key>'" when the key is
+              // absent or of the wrong JSON kind
+  kOptional,  // absent or wrong kind decodes to the field's default
+  kOmitted,   // optional, and left out of the JSON while at its default
+};
+
+/// One row of a WireTable: a member of S, its JSON key and its rule.
+template <typename S, typename T>
+struct Field {
+  T S::*member;
+  std::string_view key;
+  JsonRule rule;
+};
+
+template <typename S, typename T>
+constexpr Field<S, T> Required(T S::*member, std::string_view key) {
+  return {member, key, JsonRule::kRequired};
+}
+template <typename S, typename T>
+constexpr Field<S, T> Optional(T S::*member, std::string_view key) {
+  return {member, key, JsonRule::kOptional};
+}
+template <typename S, typename T>
+constexpr Field<S, T> OmittedAtDefault(T S::*member, std::string_view key) {
+  return {member, key, JsonRule::kOmitted};
+}
+
+/// A wire struct's description: its Message "type" (kNested for a struct
+/// that only travels inside a message) and its fields in declaration order,
+/// which is the binary layout.
+template <typename... Fs>
+struct WireTable {
+  std::string_view type;
+  std::tuple<Fs...> fields;
+};
+
+inline constexpr std::string_view kNested;
+
+template <typename... Fs>
+constexpr WireTable<Fs...> Wire(std::string_view type, Fs... fields) {
+  return {type, {fields...}};
+}
+
+/// Specialized once per wire struct, right below it.
+template <typename S>
+inline constexpr auto kWire = nullptr;
+
 struct RegisterContainer {
   std::string container_id;
   std::optional<Bytes> memory_limit;  // absent => scheduler default (1 GiB)
   bool operator==(const RegisterContainer&) const = default;
 };
+template <>
+inline constexpr auto kWire<RegisterContainer> =
+    Wire("register_container",
+         Required(&RegisterContainer::container_id, "container_id"),
+         OmittedAtDefault(&RegisterContainer::memory_limit, "memory_limit"));
 
 struct RegisterReply {
   bool ok = false;
@@ -40,6 +104,13 @@ struct RegisterReply {
   std::string socket_path;  // UNIX socket inside that directory
   bool operator==(const RegisterReply&) const = default;
 };
+template <>
+inline constexpr auto kWire<RegisterReply> =
+    Wire("register_reply",
+         Optional(&RegisterReply::ok, "ok"),
+         OmittedAtDefault(&RegisterReply::error, "error"),
+         Optional(&RegisterReply::socket_dir, "socket_dir"),
+         Optional(&RegisterReply::socket_path, "socket_path"));
 
 struct AllocRequest {
   std::string container_id;
@@ -48,12 +119,24 @@ struct AllocRequest {
   std::string api;      // originating CUDA API name, for logging/stats
   bool operator==(const AllocRequest&) const = default;
 };
+template <>
+inline constexpr auto kWire<AllocRequest> =
+    Wire("alloc_request",
+         Required(&AllocRequest::container_id, "container_id"),
+         Required(&AllocRequest::pid, "pid"),
+         Required(&AllocRequest::size, "size"),
+         Optional(&AllocRequest::api, "api"));
 
 struct AllocReply {
   bool granted = false;
   std::string error;
   bool operator==(const AllocReply&) const = default;
 };
+template <>
+inline constexpr auto kWire<AllocReply> =
+    Wire("alloc_reply",
+         Optional(&AllocReply::granted, "granted"),
+         OmittedAtDefault(&AllocReply::error, "error"));
 
 struct AllocCommit {
   std::string container_id;
@@ -62,6 +145,13 @@ struct AllocCommit {
   Bytes size = 0;
   bool operator==(const AllocCommit&) const = default;
 };
+template <>
+inline constexpr auto kWire<AllocCommit> =
+    Wire("alloc_commit",
+         Required(&AllocCommit::container_id, "container_id"),
+         Required(&AllocCommit::pid, "pid"),
+         Required(&AllocCommit::address, "address"),
+         Required(&AllocCommit::size, "size"));
 
 struct AllocAbort {
   std::string container_id;
@@ -69,6 +159,12 @@ struct AllocAbort {
   Bytes size = 0;
   bool operator==(const AllocAbort&) const = default;
 };
+template <>
+inline constexpr auto kWire<AllocAbort> =
+    Wire("alloc_abort",
+         Required(&AllocAbort::container_id, "container_id"),
+         Required(&AllocAbort::pid, "pid"),
+         Required(&AllocAbort::size, "size"));
 
 struct FreeNotify {
   std::string container_id;
@@ -76,40 +172,72 @@ struct FreeNotify {
   std::uint64_t address = 0;
   bool operator==(const FreeNotify&) const = default;
 };
+template <>
+inline constexpr auto kWire<FreeNotify> =
+    Wire("free",
+         Required(&FreeNotify::container_id, "container_id"),
+         Required(&FreeNotify::pid, "pid"),
+         Required(&FreeNotify::address, "address"));
 
 struct MemGetInfoRequest {
   std::string container_id;
   Pid pid = 0;
   bool operator==(const MemGetInfoRequest&) const = default;
 };
+template <>
+inline constexpr auto kWire<MemGetInfoRequest> =
+    Wire("mem_get_info",
+         Required(&MemGetInfoRequest::container_id, "container_id"),
+         Optional(&MemGetInfoRequest::pid, "pid"));
 
 struct MemInfoReply {
   Bytes free = 0;
   Bytes total = 0;
   bool operator==(const MemInfoReply&) const = default;
 };
+template <>
+inline constexpr auto kWire<MemInfoReply> =
+    Wire("mem_info_reply",
+         Optional(&MemInfoReply::free, "free"),
+         Optional(&MemInfoReply::total, "total"));
 
 struct ProcessExit {
   std::string container_id;
   Pid pid = 0;
   bool operator==(const ProcessExit&) const = default;
 };
+template <>
+inline constexpr auto kWire<ProcessExit> =
+    Wire("process_exit",
+         Required(&ProcessExit::container_id, "container_id"),
+         Required(&ProcessExit::pid, "pid"));
 
 struct ContainerClose {
   std::string container_id;
   bool operator==(const ContainerClose&) const = default;
 };
+template <>
+inline constexpr auto kWire<ContainerClose> =
+    Wire("container_close",
+         Required(&ContainerClose::container_id, "container_id"));
 
 struct Ping {
   bool operator==(const Ping&) const = default;
 };
+template <>
+inline constexpr auto kWire<Ping> = Wire("ping");
+
 struct Pong {
   bool operator==(const Pong&) const = default;
 };
+template <>
+inline constexpr auto kWire<Pong> = Wire("pong");
 
 struct StatsRequest {
   bool operator==(const StatsRequest&) const = default;
 };
+template <>
+inline constexpr auto kWire<StatsRequest> = Wire("stats");
 
 struct ContainerStatsWire {
   std::string container_id;
@@ -123,6 +251,19 @@ struct ContainerStatsWire {
                                          // container's listener
   bool operator==(const ContainerStatsWire&) const = default;
 };
+template <>
+inline constexpr auto kWire<ContainerStatsWire> =
+    Wire(kNested,
+         Optional(&ContainerStatsWire::container_id, "container_id"),
+         Optional(&ContainerStatsWire::limit, "limit"),
+         Optional(&ContainerStatsWire::assigned, "assigned"),
+         Optional(&ContainerStatsWire::used, "used"),
+         Optional(&ContainerStatsWire::suspended, "suspended"),
+         Optional(&ContainerStatsWire::total_suspended_sec,
+                  "total_suspended_sec"),
+         Optional(&ContainerStatsWire::suspend_episodes, "suspend_episodes"),
+         Optional(&ContainerStatsWire::kicked_connections,
+                  "kicked_connections"));
 
 struct StatsReply {
   Bytes capacity = 0;
@@ -132,6 +273,14 @@ struct StatsReply {
   std::vector<ContainerStatsWire> containers;
   bool operator==(const StatsReply&) const = default;
 };
+template <>
+inline constexpr auto kWire<StatsReply> =
+    Wire("stats_reply",
+         Optional(&StatsReply::capacity, "capacity"),
+         Optional(&StatsReply::free_pool, "free_pool"),
+         Optional(&StatsReply::policy, "policy"),
+         Optional(&StatsReply::kicked_connections, "kicked_connections"),
+         Optional(&StatsReply::containers, "containers"));
 
 /// One live device allocation in a wrapper's reattach snapshot.
 struct LiveAlloc {
@@ -139,6 +288,11 @@ struct LiveAlloc {
   Bytes size = 0;
   bool operator==(const LiveAlloc&) const = default;
 };
+template <>
+inline constexpr auto kWire<LiveAlloc> =
+    Wire(kNested,
+         Required(&LiveAlloc::address, "address"),
+         Required(&LiveAlloc::size, "size"));
 
 /// First message a reconnect-capable wrapper link sends on its initial
 /// connection to the per-container socket. The reply teaches the link the
@@ -150,6 +304,12 @@ struct Hello {
   bool binary = false;  // sender can speak the binary encoding (codec.h)
   bool operator==(const Hello&) const = default;
 };
+template <>
+inline constexpr auto kWire<Hello> =
+    Wire("hello",
+         Required(&Hello::container_id, "container_id"),
+         Required(&Hello::pid, "pid"),
+         OmittedAtDefault(&Hello::binary, "binary"));
 
 struct HelloReply {
   bool ok = false;
@@ -159,6 +319,14 @@ struct HelloReply {
   bool binary = false;      // daemon accepted binary for this connection
   bool operator==(const HelloReply&) const = default;
 };
+template <>
+inline constexpr auto kWire<HelloReply> =
+    Wire("hello_reply",
+         Optional(&HelloReply::ok, "ok"),
+         OmittedAtDefault(&HelloReply::error, "error"),
+         Optional(&HelloReply::epoch, "epoch"),
+         Optional(&HelloReply::limit, "limit"),
+         OmittedAtDefault(&HelloReply::binary, "binary"));
 
 /// Sent instead of Hello when the link reconnects after losing the daemon:
 /// carries the wrapper-local ledger snapshot (the pid's live allocations
@@ -173,6 +341,15 @@ struct Reattach {
   bool binary = false;  // re-negotiated per connection; see codec.h
   bool operator==(const Reattach&) const = default;
 };
+template <>
+inline constexpr auto kWire<Reattach> =
+    Wire("reattach",
+         Required(&Reattach::container_id, "container_id"),
+         Required(&Reattach::pid, "pid"),
+         Required(&Reattach::epoch, "epoch"),
+         Optional(&Reattach::limit, "limit"),
+         Optional(&Reattach::allocations, "allocations"),
+         OmittedAtDefault(&Reattach::binary, "binary"));
 
 struct ReattachReply {
   bool ok = false;
@@ -181,6 +358,13 @@ struct ReattachReply {
   bool binary = false;      // daemon accepted binary for this connection
   bool operator==(const ReattachReply&) const = default;
 };
+template <>
+inline constexpr auto kWire<ReattachReply> =
+    Wire("reattach_reply",
+         Optional(&ReattachReply::ok, "ok"),
+         OmittedAtDefault(&ReattachReply::error, "error"),
+         Optional(&ReattachReply::epoch, "epoch"),
+         OmittedAtDefault(&ReattachReply::binary, "binary"));
 
 using Message =
     std::variant<RegisterContainer, RegisterReply, AllocRequest, AllocReply,
@@ -202,7 +386,8 @@ using ReqId = std::uint64_t;
 inline constexpr ReqId kMaxWireReqId =
     static_cast<ReqId>(std::numeric_limits<std::int64_t>::max());
 
-/// The "type" string a given alternative serializes to (for tests/logging).
+/// The "type" string a given alternative serializes to (its kWire table's
+/// type; for tests/logging).
 std::string_view TypeName(const Message& message);
 
 /// Overload set for DispatchFrame (codec.h): one callable per message type

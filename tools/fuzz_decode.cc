@@ -11,13 +11,18 @@
 //  * -DCONVGPU_FUZZ=ON (clang only): a libFuzzer binary — run it with a
 //    corpus directory, e.g. `fuzz_decode corpus/ -max_total_time=60`.
 //  * default: a standalone regression binary whose main() replays a
-//    deterministic seed corpus (valid frames in both encodings, truncations,
-//    bit flips, random garbage) — cheap enough for every CI run.
+//    deterministic seed corpus (one valid frame per variant in both
+//    encodings, with and without a req_id, each round-tripped and then
+//    truncated and bit-flipped, plus random garbage) — cheap enough for
+//    every CI run.
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
+#include <vector>
 
 #include "common/result.h"
 #include "convgpu/codec.h"
@@ -92,27 +97,83 @@ int main() {
     }
   };
 
-  protocol::AllocRequest request;
-  request.container_id = "fuzz";
-  request.pid = 1;
-  request.size = 1 << 20;
-  request.api = "cudaMalloc";
-  protocol::StatsReply stats;
-  stats.capacity = 5ll << 30;
-  ContainerStatsWire c;
-  c.container_id = "fuzz";
-  c.total_suspended_sec = 1.25;
-  stats.containers.push_back(c);
-  protocol::Reattach reattach;
-  reattach.container_id = "fuzz";
-  reattach.allocations.push_back({0xA0000, 1 << 20});
-  reattach.binary = true;
-  for (const Message& message :
-       {Message(request), Message(stats), Message(reattach),
-        Message(Ping{})}) {
+  // One fully populated frame per variant, written out by hand (not derived
+  // from the codec's field tables, so a field the tables miss fails the
+  // round-trip check below).
+  const std::uint64_t kAddress = 0x7000'0000'1234ULL;
+  const std::vector<Message> seeds = {
+      RegisterContainer{.container_id = "fuzz", .memory_limit = 512ll << 20},
+      RegisterReply{.ok = true,
+                    .error = "taken \"fuzz\"\n",
+                    .socket_dir = "/run/convgpu/fuzz",
+                    .socket_path = "/run/convgpu/fuzz/convgpu.sock"},
+      AllocRequest{.container_id = "fuzz",
+                   .pid = 1,
+                   .size = 1 << 20,
+                   .api = "cudaMalloc"},
+      AllocReply{.granted = true, .error = "RESOURCE_EXHAUSTED"},
+      AllocCommit{.container_id = "fuzz",
+                  .pid = 1,
+                  .address = kAddress,
+                  .size = 1 << 20},
+      AllocAbort{.container_id = "fuzz", .pid = 1, .size = 1 << 20},
+      FreeNotify{.container_id = "fuzz", .pid = 1, .address = kAddress},
+      MemGetInfoRequest{.container_id = "fuzz", .pid = 1},
+      MemInfoReply{.free = 100ll << 20, .total = 512ll << 20},
+      ProcessExit{.container_id = "fuzz", .pid = 1},
+      ContainerClose{.container_id = "fuzz"},
+      Ping{},
+      Pong{},
+      StatsRequest{},
+      StatsReply{.capacity = 5ll << 30,
+                 .free_pool = 1ll << 30,
+                 .policy = "BF",
+                 .kicked_connections = 2,
+                 .containers = {{.container_id = "fuzz",
+                                 .limit = 512ll << 20,
+                                 .assigned = 578ll << 20,
+                                 .used = 64ll << 20,
+                                 .suspended = true,
+                                 .total_suspended_sec = 1.25,
+                                 .suspend_episodes = 3,
+                                 .kicked_connections = 1}}},
+      Hello{.container_id = "fuzz", .pid = 1, .binary = true},
+      HelloReply{.ok = true,
+                 .error = "stale",
+                 .epoch = 0xFEED,
+                 .limit = 512ll << 20,
+                 .binary = true},
+      Reattach{.container_id = "fuzz",
+               .pid = 1,
+               .epoch = 0xFEED,
+               .limit = 512ll << 20,
+               .allocations = {{.address = 0xA0000, .size = 1 << 20},
+                               {.address = kAddress, .size = 4096}},
+               .binary = true},
+      ReattachReply{.ok = true, .error = "stale", .epoch = 0xFEED,
+                    .binary = true},
+  };
+  if (seeds.size() != std::variant_size_v<Message>) {
+    std::fprintf(stderr, "fuzz_decode: %zu seeds for %zu variants\n",
+                 seeds.size(), std::variant_size_v<Message>);
+    return 1;
+  }
+  for (const Message& message : seeds) {
     for (const Codec* codec : {&json_codec(), &binary_codec()}) {
-      mangle(EncodePayload(*codec, message, /*req_id=*/77));
-      mangle(EncodePayload(*codec, message));
+      for (const std::optional<ReqId> req_id :
+           {std::optional<ReqId>(77), std::optional<ReqId>()}) {
+        const std::string bytes = EncodePayload(*codec, message, req_id);
+        auto decoded = DecodePayload(bytes);
+        if (!decoded.ok() || !(*decoded == message)) {
+          const std::string_view type = TypeName(message);
+          std::fprintf(stderr,
+                       "fuzz_decode: %s %.*s seed does not round-trip\n",
+                       std::string(codec->name()).c_str(),
+                       static_cast<int>(type.size()), type.data());
+          return 1;
+        }
+        mangle(bytes);
+      }
     }
   }
 
