@@ -233,8 +233,8 @@ WireSample MeasureWire(const std::string& dir, const protocol::Codec& codec,
         paths.back(), [&server](ipc::ListenerId, ipc::ConnectionId conn,
                                 std::string_view payload) {
           // The daemon's shape: sniff the encoding, decode, answer in kind.
-          const auto req_id = protocol::PeekPayloadReqId(payload);
-          auto decoded = protocol::DecodePayload(payload);
+          std::optional<protocol::ReqId> req_id;
+          auto decoded = protocol::DecodePayload(payload, req_id);
           if (!decoded.ok()) return;
           protocol::AllocReply reply;
           reply.granted = true;

@@ -24,7 +24,7 @@ inline std::string MakeBenchDir(const char* tag) {
 /// The paper's testbed: one K20m with realistic API latencies, one
 /// scheduler daemon, one registered container, and both API stacks —
 /// `native` (straight to the runtime) and `wrapped` (through libgpushare's
-/// logic over the container's real UNIX socket).
+/// logic over the container's real UNIX socket and ledger page).
 class PaperTestbed {
  public:
   explicit PaperTestbed(const char* tag, Bytes container_limit = 4 * kGiB)
@@ -44,8 +44,14 @@ class PaperTestbed {
 
     native_ = std::make_unique<cudasim::SimCudaApi>(device_.get(), kNativePid);
     inner_ = std::make_unique<cudasim::SimCudaApi>(device_.get(), kWrappedPid);
+    // The production link: a hello handshake, as the preload module makes
+    // whenever CONVGPU_CONTAINER_ID is set (it brings the ledger page).
+    SocketSchedulerLink::Options link_options;
+    link_options.container_id = "bench";
+    link_options.pid = kWrappedPid;
+    link_options.auto_reconnect = true;
     auto link = SocketSchedulerLink::Connect(
-        server_->container_socket_path("bench"));
+        server_->container_socket_path("bench"), link_options);
     if (!link.ok()) std::abort();
     link_ = std::move(*link);
     wrapped_ = std::make_unique<WrapperCore>(inner_.get(), link_.get(),

@@ -510,8 +510,9 @@ class JsonCodec final : public Codec {
   }
 
   [[nodiscard]] Result<Message> Decode(
-      std::string_view payload) const override {
+      std::string_view payload, std::optional<ReqId>& req_id) const override {
     auto parsed = json::Json::Parse(payload);
+    req_id = parsed.ok() ? ReqIdOf(*parsed) : std::nullopt;
     if (!parsed.ok()) return parsed.status();
     return ParseJson(*parsed);
   }
@@ -520,7 +521,12 @@ class JsonCodec final : public Codec {
       std::string_view payload) const override {
     auto parsed = json::Json::Parse(payload);
     if (!parsed.ok()) return std::nullopt;
-    const auto id = parsed->GetInt("req_id");  // nullopt for a non-object
+    return ReqIdOf(*parsed);
+  }
+
+ private:
+  static std::optional<ReqId> ReqIdOf(const Json& j) {
+    const auto id = j.GetInt("req_id");  // nullopt for a non-object
     if (!id || *id < 0) return std::nullopt;
     return static_cast<ReqId>(*id);
   }
@@ -540,16 +546,18 @@ class BinaryCodec final : public Codec {
   }
 
   [[nodiscard]] Result<Message> Decode(
-      std::string_view payload) const override {
+      std::string_view payload, std::optional<ReqId>& req_id) const override {
+    req_id.reset();
     Cursor c(payload);
     if (c.U8() != kBinaryMagic) {
       return InvalidArgumentError("binary frame: missing magic byte");
     }
     const std::uint8_t tag = c.U8();
-    (void)c.Varint();  // req_id rides alongside; read it with PeekReqId
+    const std::uint64_t id = c.Varint();
     if (c.failed()) {
       return InvalidArgumentError("binary frame: truncated header");
     }
+    if (id != 0 && id <= kMaxWireReqId) req_id = id;
     if (tag >= kAlternatives.size()) {
       return InvalidArgumentError("binary frame: unknown message tag " +
                                   std::to_string(tag));
@@ -601,6 +609,11 @@ const Codec& DetectCodec(std::string_view payload) {
 
 Result<Message> DecodePayload(std::string_view payload) {
   return DetectCodec(payload).Decode(payload);
+}
+
+Result<Message> DecodePayload(std::string_view payload,
+                              std::optional<ReqId>& req_id) {
+  return DetectCodec(payload).Decode(payload, req_id);
 }
 
 std::optional<ReqId> PeekPayloadReqId(std::string_view payload) {

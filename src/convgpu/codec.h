@@ -59,8 +59,17 @@ class Codec {
 
   /// Bounds-checked decode. kInvalidArgument for truncated, malformed, or
   /// trailing-garbage payloads; never reads past `payload`.
+  [[nodiscard]] Result<Message> Decode(std::string_view payload) const {
+    std::optional<ReqId> unused;
+    return Decode(payload, unused);
+  }
+
+  /// Decode that also yields the correlation id, from the same single pass
+  /// over the payload: `req_id` is what PeekReqId would return, set even
+  /// when the fields then fail to decode (a reply can still be routed to
+  /// its caller as an error).
   [[nodiscard]] virtual Result<Message> Decode(
-      std::string_view payload) const = 0;
+      std::string_view payload, std::optional<ReqId>& req_id) const = 0;
 
   /// The payload's correlation id without a full decode; empty for id-less
   /// frames and for payloads too mangled to carry one.
@@ -79,6 +88,9 @@ const Codec& DetectCodec(std::string_view payload);
 
 /// Detect + Decode: accepts either encoding, whatever was negotiated.
 Result<Message> DecodePayload(std::string_view payload);
+/// Detect + Decode with the correlation id (one parse for both).
+Result<Message> DecodePayload(std::string_view payload,
+                              std::optional<ReqId>& req_id);
 
 /// Detect + PeekReqId.
 std::optional<ReqId> PeekPayloadReqId(std::string_view payload);
@@ -96,8 +108,7 @@ std::string EncodePayload(const Codec& codec, const Message& message,
 template <typename V>
 Status DispatchFrame(std::string_view payload, std::optional<ReqId>& req_id,
                      V&& visitor) {
-  req_id = PeekPayloadReqId(payload);
-  auto message = DecodePayload(payload);
+  auto message = DecodePayload(payload, req_id);
   if (!message.ok()) return message.status();
   std::visit(std::forward<V>(visitor), *message);
   return Status::Ok();

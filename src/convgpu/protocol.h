@@ -317,6 +317,9 @@ struct HelloReply {
   std::uint64_t epoch = 0;  // daemon session epoch; changes on restart
   Bytes limit = 0;          // the container's declared memory limit
   bool binary = false;      // daemon accepted binary for this connection
+  /// This connection's slot on the container's ledger page, whose
+  /// descriptor rides the same frame (SCM_RIGHTS); absent without a page.
+  std::optional<std::uint64_t> page_slot;
   bool operator==(const HelloReply&) const = default;
 };
 template <>
@@ -326,7 +329,8 @@ inline constexpr auto kWire<HelloReply> =
          OmittedAtDefault(&HelloReply::error, "error"),
          Optional(&HelloReply::epoch, "epoch"),
          Optional(&HelloReply::limit, "limit"),
-         OmittedAtDefault(&HelloReply::binary, "binary"));
+         OmittedAtDefault(&HelloReply::binary, "binary"),
+         OmittedAtDefault(&HelloReply::page_slot, "page_slot"));
 
 /// Sent instead of Hello when the link reconnects after losing the daemon:
 /// carries the wrapper-local ledger snapshot (the pid's live allocations
@@ -356,6 +360,8 @@ struct ReattachReply {
   std::string error;
   std::uint64_t epoch = 0;  // the daemon's *current* epoch
   bool binary = false;      // daemon accepted binary for this connection
+  /// As HelloReply::page_slot: the new connection's ledger-page slot.
+  std::optional<std::uint64_t> page_slot;
   bool operator==(const ReattachReply&) const = default;
 };
 template <>
@@ -364,7 +370,8 @@ inline constexpr auto kWire<ReattachReply> =
          Optional(&ReattachReply::ok, "ok"),
          OmittedAtDefault(&ReattachReply::error, "error"),
          Optional(&ReattachReply::epoch, "epoch"),
-         OmittedAtDefault(&ReattachReply::binary, "binary"));
+         OmittedAtDefault(&ReattachReply::binary, "binary"),
+         OmittedAtDefault(&ReattachReply::page_slot, "page_slot"));
 
 using Message =
     std::variant<RegisterContainer, RegisterReply, AllocRequest, AllocReply,
@@ -418,6 +425,7 @@ Result<T> Expect(Result<Message> reply) {
 }  // namespace convgpu::protocol
 
 namespace convgpu::ipc {
+class Fd;
 class MessageClient;
 }  // namespace convgpu::ipc
 
@@ -431,11 +439,13 @@ namespace convgpu::protocol {
 /// kFailedPrecondition; this catches a desynchronized stream instead of
 /// silently consuming someone else's reply. With a `timeout`, the reply
 /// must start arriving within it or the call fails with kDeadlineExceeded
-/// (handshakes against a possibly-hung peer).
+/// (handshakes against a possibly-hung peer). With `received`, a descriptor
+/// passed with the reply (the ledger page on a handshake reply) lands there.
 Result<Message> Call(
     ipc::MessageClient& client, const Message& request,
     std::optional<ReqId> req_id = std::nullopt,
-    std::optional<std::chrono::milliseconds> timeout = std::nullopt);
+    std::optional<std::chrono::milliseconds> timeout = std::nullopt,
+    ipc::Fd* received = nullptr);
 
 /// Typed one-way send.
 Status Notify(ipc::MessageClient& client, const Message& message);

@@ -10,7 +10,15 @@ namespace convgpu {
 
 namespace {
 constexpr char kTag[] = "sched";
+
+/// User-visible numbers: the driver overhead is invisible to the program,
+/// exactly as a real cudaMemGetInfo hides driver-internal allocations.
+MemInfoReply MemInfoOf(const ContainerAccount& account) {
+  const Bytes user_used = account.used - account.overhead_charged;
+  return MemInfoReply{account.declared_limit - user_used,
+                      account.declared_limit};
 }
+}  // namespace
 
 SchedulerCore::SchedulerCore(SchedulerOptions options, const Clock* clock)
     : options_(std::move(options)),
@@ -38,6 +46,33 @@ void SchedulerCore::AuditLocked() const {
   }
   LedgerAuditor::AuditOrDie(ledger_, view, options_.first_alloc_overhead);
 #endif
+}
+
+void SchedulerCore::PublishLocked(const std::string& id) {
+  if (pages_.empty()) return;
+  auto page = pages_.find(id);
+  if (page == pages_.end()) return;
+  const ContainerAccount* account = ledger_.Find(id);
+  if (account == nullptr) return;
+  const MemInfoReply info = MemInfoOf(*account);
+  page->second->Publish(info.free, info.total);
+}
+
+Status SchedulerCore::AttachLedgerPage(const std::string& id,
+                                       std::shared_ptr<LedgerPage> page) {
+  MutexLock lock(mutex_);
+  if (ledger_.Find(id) == nullptr) {
+    return NotFoundError("unknown container: " + id);
+  }
+  pages_[id] = std::move(page);
+  PublishLocked(id);
+  return Status::Ok();
+}
+
+void SchedulerCore::DetachLedgerPages() {
+  MutexLock lock(mutex_);
+  for (auto& [id, page] : pages_) page->Invalidate();
+  pages_.clear();
 }
 
 void SchedulerCore::Fire(Callbacks& callbacks) {
@@ -137,6 +172,7 @@ void SchedulerCore::RequestAlloc(const std::string& id, Pid pid, Bytes size,
     } else {
       callbacks.emplace_back(std::move(done), reserve);
     }
+    PublishLocked(id);
     AuditLocked();
   }
   Fire(callbacks);
@@ -172,6 +208,7 @@ void SchedulerCore::TryGrantPendingLocked(const std::string& id,
     pending_.erase(it);
     ledger_.MarkResumed(id, Now());
   }
+  PublishLocked(id);
 }
 
 void SchedulerCore::RedistributeLocked(Callbacks& out) {
@@ -245,6 +282,7 @@ Status SchedulerCore::AbortAlloc(const std::string& id, Pid pid, Bytes size) {
       // proceed (the pool itself did not change).
       TryGrantPendingLocked(id, callbacks);
     }
+    PublishLocked(id);
     AuditLocked();
   }
   Fire(callbacks);
@@ -266,6 +304,7 @@ Status SchedulerCore::FreeAlloc(const std::string& id, Pid pid,
       // the guarantee persists until the container closes.
       TryGrantPendingLocked(id, callbacks);
     }
+    PublishLocked(id);
     AuditLocked();
   }
   Fire(callbacks);
@@ -276,11 +315,7 @@ Result<MemInfoReply> SchedulerCore::MemGetInfo(const std::string& id) {
   MutexLock lock(mutex_);
   const ContainerAccount* account = ledger_.Find(id);
   if (account == nullptr) return NotFoundError("unknown container: " + id);
-  // User-visible numbers: the driver overhead is invisible to the program,
-  // exactly as a real cudaMemGetInfo hides driver-internal allocations.
-  const Bytes user_used = account->used - account->overhead_charged;
-  return MemInfoReply{account->declared_limit - user_used,
-                      account->declared_limit};
+  return MemInfoOf(*account);
 }
 
 Status SchedulerCore::ProcessExit(const std::string& id, Pid pid) {
@@ -318,6 +353,7 @@ Status SchedulerCore::ProcessExit(const std::string& id, Pid pid) {
       // and nothing else would ever wake it.
       TryGrantPendingLocked(id, callbacks);
     }
+    PublishLocked(id);
     AuditLocked();
   }
   Fire(callbacks);
@@ -383,6 +419,7 @@ Status SchedulerCore::RestoreProcess(
     Callbacks callbacks;
     TryGrantPendingLocked(id, callbacks);
     RedistributeLocked(callbacks);
+    PublishLocked(id);
     AuditLocked();
     lock.Unlock();
     Fire(callbacks);
@@ -434,6 +471,7 @@ Status SchedulerCore::RestoreProcess(
       (void)ledger_.ProcessExit(id, pid, options_.first_alloc_overhead);
     }
     if (registered_here) (void)ledger_.Close(id, Now());
+    PublishLocked(id);
     AuditLocked();
     return status;
   }
@@ -446,6 +484,7 @@ Status SchedulerCore::RestoreProcess(
   Callbacks callbacks;
   TryGrantPendingLocked(id, callbacks);
   RedistributeLocked(callbacks);
+  PublishLocked(id);
   AuditLocked();
   lock.Unlock();
   Fire(callbacks);
@@ -472,6 +511,10 @@ Status SchedulerCore::ContainerClose(const std::string& id) {
     }
     status = ledger_.Close(id, Now());
     if (status.ok()) {
+      if (auto page = pages_.find(id); page != pages_.end()) {
+        page->second->Invalidate();
+        pages_.erase(page);
+      }
       CONVGPU_LOG(kInfo, kTag) << "closed " << id << ", free pool now "
                                << FormatByteSize(ledger_.free_pool());
       RedistributeLocked(callbacks);

@@ -26,6 +26,7 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "convgpu/ledger.h"
+#include "convgpu/ledger_page.h"
 #include "convgpu/policy.h"
 
 namespace convgpu {
@@ -107,6 +108,17 @@ class SchedulerCore {
   /// Virtualized cudaMemGetInfo answered entirely from the ledger.
   Result<MemInfoReply> MemGetInfo(const std::string& id);
 
+  // --- Ledger pages (see ledger_page.h) -------------------------------------
+
+  /// From now on `id`'s MemGetInfo answer is published on `page` at every
+  /// transition that changes it, under this core's mutex; published once
+  /// right here. The page is invalidated (epoch 0) and dropped when the
+  /// container closes. kNotFound for an unknown container.
+  Status AttachLedgerPage(const std::string& id,
+                          std::shared_ptr<LedgerPage> page);
+  /// Invalidates and drops every attached page (the daemon is stopping).
+  void DetachLedgerPages();
+
   /// __cudaUnregisterFatBinary: drop every allocation owned by the pid.
   Status ProcessExit(const std::string& id, Pid pid);
 
@@ -178,6 +190,9 @@ class SchedulerCore {
 
   static void Fire(Callbacks& callbacks);
 
+  /// Publishes `id`'s MemGetInfo answer on its ledger page, if it has one.
+  void PublishLocked(const std::string& id) REQUIRES(mutex_);
+
   SchedulerOptions options_;
   std::unique_ptr<SchedulingPolicy> policy_;
   const Clock* clock_;
@@ -185,6 +200,7 @@ class SchedulerCore {
   mutable Mutex mutex_;
   MemoryLedger ledger_ GUARDED_BY(mutex_);
   std::map<std::string, std::deque<PendingRequest>> pending_ GUARDED_BY(mutex_);
+  std::map<std::string, std::shared_ptr<LedgerPage>> pages_ GUARDED_BY(mutex_);
 };
 
 }  // namespace convgpu

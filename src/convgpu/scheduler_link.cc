@@ -13,12 +13,6 @@ namespace {
 
 constexpr char kTag[] = "sched-link";
 
-SchedulerLink::ReplyFuture ImmediateReply(Result<protocol::Message> reply) {
-  std::promise<Result<protocol::Message>> promise;
-  promise.set_value(std::move(reply));
-  return promise.get_future();
-}
-
 }  // namespace
 
 // --- Completion slots and the reader role --------------------------------
@@ -148,9 +142,8 @@ Status RouterCore::RouteFrame(std::string_view frame, const CallSlot* mine,
   // negotiated state: both encodings are always accepted, so a daemon
   // answering in either (including mid-renegotiation) is never
   // misinterpreted.
-  const std::optional<protocol::ReqId> req_id =
-      protocol::PeekPayloadReqId(frame);
-  auto message = protocol::DecodePayload(frame);
+  std::optional<protocol::ReqId> req_id;
+  auto message = protocol::DecodePayload(frame, req_id);
   if (!message.ok() && !req_id) return message.status();
   Status routed;
   {
@@ -239,7 +232,19 @@ ReplyFuture::ReplyFuture(std::shared_ptr<link_internal::RouterCore> core,
                          std::shared_ptr<link_internal::CallSlot> slot)
     : core_(std::move(core)), slot_(std::move(slot)) {}
 
+ReplyFuture ReplyFuture::Ready(Result<protocol::Message> reply) {
+  ReplyFuture future;
+  future.ready_.emplace(std::move(reply));
+  future.ready_here_ = true;
+  return future;
+}
+
 Result<protocol::Message> ReplyFuture::get() {
+  if (ready_) {
+    Result<protocol::Message> reply = std::move(*ready_);
+    ready_.reset();
+    return reply;
+  }
   if (slot_ == nullptr) {
     if (future_.valid()) return future_.get();
     return FailedPreconditionError("reply future has no state");
@@ -253,6 +258,7 @@ Result<protocol::Message> ReplyFuture::get() {
 
 std::future_status ReplyFuture::WaitUntil(
     std::optional<std::chrono::steady_clock::time_point> deadline) const {
+  if (ready_here_) return std::future_status::ready;
   if (slot_ != nullptr) return core_->Wait(*slot_, deadline);
   if (!deadline) {
     future_.wait();
@@ -399,8 +405,26 @@ Result<std::unique_ptr<SocketSchedulerLink>> SocketSchedulerLink::Connect(
   if (!client.ok()) return client.status();
   return std::unique_ptr<SocketSchedulerLink>(new SocketSchedulerLink(
       std::move(*client), socket_path, Options{}, /*epoch=*/0, /*limit=*/0,
-      /*binary=*/false));
+      /*binary=*/false, /*page=*/nullptr));
 }
+
+namespace {
+
+/// Maps the ledger page a handshake reply carried; null when none came
+/// (page_slot absent, no descriptor, or a page that cannot be mapped).
+std::unique_ptr<LedgerPageView> MapLedgerPage(
+    ipc::Fd fd, std::optional<std::uint64_t> slot) {
+  if (!slot || !fd.valid()) return nullptr;
+  auto page = LedgerPageView::Map(std::move(fd), *slot);
+  if (!page.ok()) {
+    CONVGPU_LOG(kWarn, kTag) << "ignoring the ledger page: "
+                             << page.status().ToString();
+    return nullptr;
+  }
+  return std::move(*page);
+}
+
+}  // namespace
 
 Result<std::unique_ptr<SocketSchedulerLink>> SocketSchedulerLink::Connect(
     const std::string& socket_path, Options options) {
@@ -411,6 +435,7 @@ Result<std::unique_ptr<SocketSchedulerLink>> SocketSchedulerLink::Connect(
   std::uint64_t epoch = 0;
   Bytes limit = 0;
   bool binary = false;
+  std::unique_ptr<LedgerPageView> page;
   if (!options.container_id.empty()) {
     protocol::Hello hello;
     hello.container_id = options.container_id;
@@ -419,9 +444,10 @@ Result<std::unique_ptr<SocketSchedulerLink>> SocketSchedulerLink::Connect(
     // as JSON — an old daemon simply ignores the unknown key and never
     // echoes it, which reads back as "JSON only".
     hello.binary = options.enable_binary;
+    ipc::Fd page_fd;
     auto reply = protocol::Expect<protocol::HelloReply>(
         protocol::Call(**client, protocol::Message(hello), std::nullopt,
-                       options.handshake_timeout));
+                       options.handshake_timeout, &page_fd));
     if (!reply.ok()) return reply.status();
     if (!reply->ok) {
       return FailedPreconditionError("hello rejected by scheduler: " +
@@ -430,19 +456,22 @@ Result<std::unique_ptr<SocketSchedulerLink>> SocketSchedulerLink::Connect(
     epoch = reply->epoch;
     limit = reply->limit;
     binary = reply->binary && options.enable_binary;
+    page = MapLedgerPage(std::move(page_fd), reply->page_slot);
   }
-  return std::unique_ptr<SocketSchedulerLink>(
-      new SocketSchedulerLink(std::move(*client), socket_path,
-                              std::move(options), epoch, limit, binary));
+  return std::unique_ptr<SocketSchedulerLink>(new SocketSchedulerLink(
+      std::move(*client), socket_path, std::move(options), epoch, limit,
+      binary, std::move(page)));
 }
 
 SocketSchedulerLink::SocketSchedulerLink(
     std::unique_ptr<ipc::MessageClient> client, std::string socket_path,
-    Options options, std::uint64_t epoch, Bytes limit, bool binary)
+    Options options, std::uint64_t epoch, Bytes limit, bool binary,
+    std::unique_ptr<LedgerPageView> page)
     : socket_path_(std::move(socket_path)), options_(std::move(options)) {
   client_ = std::move(client);
   epoch_ = epoch;
   limit_ = limit;
+  page_ = std::move(page);
   codec_ = binary ? &protocol::binary_codec() : &protocol::json_codec();
   snapshot_ = options_.snapshot;
   router_.Attach(client_);
@@ -501,6 +530,16 @@ std::string SocketSchedulerLink::wire_codec_name() const {
   return std::string(codec_->name());
 }
 
+bool SocketSchedulerLink::has_ledger_page() const {
+  MutexLock lock(state_mutex_);
+  return page_ != nullptr;
+}
+
+LedgerPageCounters SocketSchedulerLink::page_counters() const {
+  MutexLock lock(state_mutex_);
+  return page_counters_;
+}
+
 namespace {
 
 /// Blocks until `client`'s socket hangs up: the peer closed or shut down
@@ -527,6 +566,7 @@ void SocketSchedulerLink::FailEverything(const Status& status) {
       final_status = broken_;  // deliberate close: keep the first cause
     }
     state_ = LinkState::kBroken;
+    page_.reset();
     waiting.swap(waiting_);
   }
   router_.FailAll(final_status);
@@ -560,6 +600,7 @@ void SocketSchedulerLink::WorkerLoop() {
         return;
       }
       state_ = LinkState::kReconnecting;
+      page_.reset();  // a page is only ever read with its own connection
     }
     // Fail the non-replayable in-flight calls (an admission the daemon may
     // already have acted on must not be resent); park the idempotent ones.
@@ -588,7 +629,9 @@ bool SocketSchedulerLink::Reconnect() {
 
     auto fresh = ipc::MessageClient::ConnectUnix(socket_path_,
                                                  options_.handshake_timeout);
-    Status result = fresh.ok() ? ReattachHandshake(**fresh) : fresh.status();
+    std::unique_ptr<LedgerPageView> page;
+    Status result =
+        fresh.ok() ? ReattachHandshake(**fresh, page) : fresh.status();
     if (result.ok()) {
       std::shared_ptr<ipc::MessageClient> client = std::move(*fresh);
       std::vector<ReplyRouter::Parked> replay;
@@ -602,6 +645,7 @@ bool SocketSchedulerLink::Reconnect() {
         }
         client_ = client;
         state_ = LinkState::kConnected;
+        page_ = std::move(page);
         codec = codec_;  // re-negotiated by ReattachHandshake just now
         replay.swap(waiting_);
         ++reconnects_;
@@ -656,7 +700,8 @@ bool SocketSchedulerLink::Reconnect() {
   }
 }
 
-Status SocketSchedulerLink::ReattachHandshake(ipc::MessageClient& client) {
+Status SocketSchedulerLink::ReattachHandshake(
+    ipc::MessageClient& client, std::unique_ptr<LedgerPageView>& page) {
   if (options_.container_id.empty()) return Status::Ok();  // no handshake
 
   protocol::Reattach reattach;
@@ -676,14 +721,16 @@ Status SocketSchedulerLink::ReattachHandshake(ipc::MessageClient& client) {
   // The handshake itself always travels as JSON.
   reattach.binary = options_.enable_binary;
 
+  ipc::Fd page_fd;
   auto reply = protocol::Expect<protocol::ReattachReply>(
       protocol::Call(client, protocol::Message(reattach), std::nullopt,
-                     options_.handshake_timeout));
+                     options_.handshake_timeout, &page_fd));
   if (!reply.ok()) return reply.status();
   if (!reply->ok) {
     return FailedPreconditionError("reattach rejected by scheduler: " +
                                    reply->error);
   }
+  page = MapLedgerPage(std::move(page_fd), reply->page_slot);
   MutexLock lock(state_mutex_);
   epoch_ = reply->epoch;  // a restarted daemon hands out its new epoch
   codec_ = (reply->binary && options_.enable_binary)
@@ -692,29 +739,67 @@ Status SocketSchedulerLink::ReattachHandshake(ipc::MessageClient& client) {
   return Status::Ok();
 }
 
+std::optional<protocol::MemInfoReply> SocketSchedulerLink::PageAnswerLocked() {
+  if (page_ == nullptr) {
+    ++page_counters_.no_page;
+    return std::nullopt;
+  }
+  // Frames sent first, then applied (acquire): applied >= sent means the
+  // daemon has handled every frame this connection carried when the call
+  // began, and the acquire makes their ledger effects visible to the read.
+  const std::uint64_t sent = client_->frames_sent();
+  if (page_->applied() < sent) {
+    ++page_counters_.slot_behind;
+    return std::nullopt;
+  }
+  const std::optional<LedgerSnapshot> snapshot = page_->Read();
+  if (!snapshot) {
+    ++page_counters_.seqlock_retries_exhausted;
+    return std::nullopt;
+  }
+  if (snapshot->epoch != epoch_) {
+    ++page_counters_.disconnected_or_epoch;
+    return std::nullopt;
+  }
+  ++page_counters_.local_answers;
+  protocol::MemInfoReply reply;
+  reply.free = snapshot->free;
+  reply.total = snapshot->total;
+  return reply;
+}
+
 SchedulerLink::ReplyFuture SocketSchedulerLink::AsyncCall(
     const protocol::Message& request) {
   const bool replayable = IsReplayable(request);
+  const bool mem_info =
+      std::holds_alternative<protocol::MemGetInfoRequest>(request);
   std::shared_ptr<ipc::MessageClient> client;
   const protocol::Codec* codec = nullptr;
   ReplyRouter::Issued issued;
   {
     MutexLock lock(state_mutex_);
     if (!broken_.ok()) {
-      return ImmediateReply(Result<protocol::Message>(broken_));
+      return ReplyFuture::Ready(Result<protocol::Message>(broken_));
     }
     if (state_ == LinkState::kReconnecting) {
       if (!replayable) {
-        return ImmediateReply(Result<protocol::Message>(UnavailableError(
+        return ReplyFuture::Ready(Result<protocol::Message>(UnavailableError(
             "scheduler restarting: " +
             std::string(protocol::TypeName(request)) +
             " is not replay-safe")));
       }
       // Park it: completes after the next successful reattach.
+      if (mem_info) ++page_counters_.disconnected_or_epoch;
       ReplyRouter::Parked parked;
       auto future = router_.Park(request, parked);
       waiting_.push_back(std::move(parked));
       return future;
+    }
+    if (mem_info) {
+      if (auto answer = PageAnswerLocked()) {
+        return ReplyFuture::Ready(
+            Result<protocol::Message>(protocol::Message(*answer)));
+      }
     }
     client = client_;
     codec = codec_;
@@ -795,13 +880,13 @@ SchedulerLink::ReplyFuture DirectSchedulerLink::AsyncCall(
       reply.free = info->free;
       reply.total = info->total;
     }
-    return ImmediateReply(Result<protocol::Message>(protocol::Message(reply)));
+    return ReplyFuture::Ready(Result<protocol::Message>(protocol::Message(reply)));
   }
   if (std::holds_alternative<protocol::Ping>(request)) {
-    return ImmediateReply(
+    return ReplyFuture::Ready(
         Result<protocol::Message>(protocol::Message(protocol::Pong{})));
   }
-  return ImmediateReply(Result<protocol::Message>(
+  return ReplyFuture::Ready(Result<protocol::Message>(
       InvalidArgumentError("unsupported direct call: " +
                            std::string(protocol::TypeName(request)))));
 }

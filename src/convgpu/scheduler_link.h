@@ -43,6 +43,19 @@
 // waiting caller is promoted to lead on it. A caller that was leading on
 // the dead connection simply finds its slot still open and leads again on
 // the new one (a replayed mem_get_info), or finds it failed (an alloc).
+//
+// cudaMemGetInfo usually never leaves the process. The handshake reply
+// hands the link the container's ledger page (ledger_page.h) and its
+// connection's slot; AsyncCall(mem_get_info) answers from the page when
+// the daemon has handled every frame this connection has sent (the slot's
+// applied count has reached the client's frames-sent count), a bounded
+// seqlock read succeeds, and the page's epoch is the link's. That keeps
+// read-your-writes: a free or commit sent a moment ago is either in the
+// page or makes the call take the socket path at once — the link never
+// waits for the slot to catch up. The socket path stays the fallback
+// (no page, link down, epoch mismatch, slot behind, seqlock contended),
+// counted per reason in page_counters(). A reconnect unmaps the old page
+// before installing the new connection's; teardown unmaps it.
 #pragma once
 
 #include <chrono>
@@ -57,6 +70,7 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "convgpu/codec.h"
+#include "convgpu/ledger_page.h"
 #include "convgpu/protocol.h"
 #include "convgpu/scheduler_core.h"
 #include "ipc/message_server.h"
@@ -87,6 +101,12 @@ class ReplyFuture {
   ReplyFuture& operator=(ReplyFuture&&) noexcept = default;
   ~ReplyFuture() = default;
 
+  /// A reply the link produced without a frame to the scheduler: an answer
+  /// from the ledger page, or an immediate failure.
+  static ReplyFuture Ready(Result<protocol::Message> reply);
+  /// False for a Ready() reply — the call never reached the scheduler.
+  [[nodiscard]] bool round_trip() const { return !ready_here_; }
+
   /// Blocks until the reply is in and returns it; the handle is then empty.
   Result<protocol::Message> get();
   void wait() const { (void)WaitUntil(std::nullopt); }
@@ -111,6 +131,8 @@ class ReplyFuture {
   std::future<Result<protocol::Message>> future_;
   std::shared_ptr<link_internal::RouterCore> core_;
   std::shared_ptr<link_internal::CallSlot> slot_;
+  std::optional<Result<protocol::Message>> ready_;  // Ready(), until get()
+  bool ready_here_ = false;
 };
 
 class SchedulerLink {
@@ -260,6 +282,18 @@ struct SocketSchedulerLinkOptions {
   std::function<std::vector<protocol::LiveAlloc>()> snapshot;
 };
 
+/// How a SocketSchedulerLink answered mem_get_info: from the ledger page,
+/// or over the socket and why.
+struct LedgerPageCounters {
+  std::uint64_t local_answers = 0;
+  std::uint64_t no_page = 0;  // this connection was handed no page
+  /// The link was reconnecting, or the page's epoch was not the link's
+  /// (the container closed or the daemon stopped).
+  std::uint64_t disconnected_or_epoch = 0;
+  std::uint64_t slot_behind = 0;  // sent frames the daemon had not handled
+  std::uint64_t seqlock_retries_exhausted = 0;
+};
+
 class SocketSchedulerLink final : public SchedulerLink {
  public:
   using Options = SocketSchedulerLinkOptions;
@@ -300,13 +334,17 @@ class SocketSchedulerLink final : public SchedulerLink {
   /// Re-negotiated on every reconnect — a restarted daemon may answer
   /// differently than the one the link first met.
   [[nodiscard]] std::string wire_codec_name() const;
+  /// True while the current connection holds a mapped ledger page.
+  [[nodiscard]] bool has_ledger_page() const;
+  [[nodiscard]] LedgerPageCounters page_counters() const;
 
  private:
   enum class LinkState { kConnected, kReconnecting, kBroken };
 
   SocketSchedulerLink(std::unique_ptr<ipc::MessageClient> client,
                       std::string socket_path, Options options,
-                      std::uint64_t epoch, Bytes limit, bool binary);
+                      std::uint64_t epoch, Bytes limit, bool binary,
+                      std::unique_ptr<LedgerPageView> page);
 
   /// Worker thread: alternates watching the connection for hang-up with
   /// the connection-loss paths (fail everything, or drain/reconnect/replay)
@@ -318,7 +356,12 @@ class SocketSchedulerLink final : public SchedulerLink {
   /// Sends reattach on `client` and validates the reply. kUnavailable-class
   /// errors mean "retry"; kFailedPrecondition means the daemon rejected the
   /// reattach (stale epoch) and the link is done for good.
-  Status ReattachHandshake(ipc::MessageClient& client);
+  Status ReattachHandshake(ipc::MessageClient& client,
+                           std::unique_ptr<LedgerPageView>& page);
+  /// The mem_get_info answer from the ledger page, when the page may give
+  /// it (see the file comment); counts the outcome either way.
+  std::optional<protocol::MemInfoReply> PageAnswerLocked()
+      REQUIRES(state_mutex_);
   /// Marks the link permanently broken and fails every waiting caller.
   void FailEverything(const Status& status);
 
@@ -353,6 +396,10 @@ class SocketSchedulerLink final : public SchedulerLink {
       GUARDED_BY(state_mutex_);
   std::uint64_t reconnects_ GUARDED_BY(state_mutex_) = 0;
   std::uint64_t replayed_ GUARDED_BY(state_mutex_) = 0;
+  /// The current connection's ledger page; null without one, and from the
+  /// moment the connection is lost.
+  std::unique_ptr<LedgerPageView> page_ GUARDED_BY(state_mutex_);
+  LedgerPageCounters page_counters_ GUARDED_BY(state_mutex_);
 
   std::thread worker_;
 };

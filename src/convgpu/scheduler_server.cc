@@ -117,6 +117,7 @@ void SchedulerServer::Stop() {
     for (auto& [id, channel] : channels_) channel->closed = true;
     channels_.clear();
   }
+  core_.DetachLedgerPages();
   // One reactor serves every socket: stopping it tears down the main
   // listener, all container listeners, and all connections at once.
   reactor_.Stop();
@@ -125,13 +126,36 @@ void SchedulerServer::Stop() {
 void SchedulerServer::Reply(ipc::ConnectionId conn,
                             const protocol::Codec& codec,
                             const protocol::Message& message,
-                            std::optional<protocol::ReqId> req_id) {
+                            std::optional<protocol::ReqId> req_id, int fd) {
   // Per-thread scratch: deferred grants encode on whichever thread released
   // the memory, and reusing the buffer keeps the steady-state encode path
   // allocation-free (see bench/codec_microbench).
   thread_local std::string scratch;
   codec.Encode(message, req_id, scratch);
-  (void)reactor_.SendBytes(conn, scratch);
+  (void)reactor_.SendBytes(conn, scratch, fd);
+}
+
+int SchedulerServer::ShareLedgerPage(ContainerChannel& channel,
+                                     const std::string& container_id,
+                                     ConnectionState& state) {
+  if (channel.page == nullptr) {
+    auto page = LedgerPage::Create(session_epoch_);
+    if (!page.ok()) {
+      CONVGPU_LOG(kWarn, kTag) << "no ledger page for " << container_id
+                               << ": " << page.status().ToString();
+      return -1;
+    }
+    if (!core_.AttachLedgerPage(container_id, *page).ok()) return -1;
+    channel.page = std::move(*page);
+  }
+  if (state.slot) {
+    // A second handshake on the same connection keeps its slot.
+    channel.page->StoreApplied(*state.slot, state.frames);
+  } else {
+    state.slot = channel.page->AcquireSlot(state.frames);
+    if (!state.slot) return -1;  // every slot taken
+  }
+  return channel.page->fd();
 }
 
 void SchedulerServer::NegotiateCodec(ConnectionState& state,
@@ -342,7 +366,15 @@ void SchedulerServer::HandleContainer(ContainerChannel& channel,
                                       std::string_view payload) {
   if (channel.closed.load(std::memory_order_acquire)) return;
   ConnectionState& state = channel.connections[conn];
+  ++state.frames;
   const protocol::Codec& codec = *state.codec;
+  // The frame counts as handled in the connection's ledger-page slot once
+  // its effect is in the ledger: after the handler, and also before an
+  // immediate reply, so a wrapper holding the reply finds its slot caught
+  // up.
+  auto mark_handled = [&] {
+    if (state.slot) channel.page->StoreApplied(*state.slot, state.frames);
+  };
 
   // Record the speaking pid for crash cleanup.
   auto note_pid = [&](Pid pid) { state.pids.insert(pid); };
@@ -387,6 +419,7 @@ void SchedulerServer::HandleContainer(ContainerChannel& channel,
               reply.free = result->free;
               reply.total = result->total;
             }
+            mark_handled();
             Reply(conn, codec, reply, req_id);
           },
           [&](const protocol::ProcessExit& exit) {
@@ -396,9 +429,11 @@ void SchedulerServer::HandleContainer(ContainerChannel& channel,
             }
           },
           [&](const protocol::Ping&) {
+            mark_handled();
             Reply(conn, codec, protocol::Pong{}, req_id);
           },
           [&](const protocol::StatsRequest&) {
+            mark_handled();
             Reply(conn, codec, BuildStats(), req_id);
           },
           [&](const protocol::Hello& hello) {
@@ -418,7 +453,10 @@ void SchedulerServer::HandleContainer(ContainerChannel& channel,
             const bool binary =
                 reply.ok && hello.binary && options_.enable_binary;
             reply.binary = binary;
-            Reply(conn, codec, reply, req_id);
+            const int page =
+                reply.ok ? ShareLedgerPage(channel, container_id, state) : -1;
+            if (page >= 0) reply.page_slot = state.slot;
+            Reply(conn, codec, reply, req_id, page);
             NegotiateCodec(state, conn, binary);
           },
           [&](const protocol::Reattach& reattach) {
@@ -426,7 +464,10 @@ void SchedulerServer::HandleContainer(ContainerChannel& channel,
             const bool binary =
                 reply.ok && reattach.binary && options_.enable_binary;
             reply.binary = binary;
-            Reply(conn, codec, reply, req_id);
+            const int page =
+                reply.ok ? ShareLedgerPage(channel, container_id, state) : -1;
+            if (page >= 0) reply.page_slot = state.slot;
+            Reply(conn, codec, reply, req_id, page);
             NegotiateCodec(state, conn, binary);
           },
           [&](const auto& other) {
@@ -435,6 +476,7 @@ void SchedulerServer::HandleContainer(ContainerChannel& channel,
                 << protocol::TypeName(protocol::Message(other));
           },
       });
+  mark_handled();
   if (!dispatched.ok()) {
     CONVGPU_LOG(kWarn, kTag) << "bad container message: "
                              << dispatched.ToString();
@@ -518,6 +560,7 @@ void SchedulerServer::HandleContainerDisconnect(ContainerChannel& channel,
   auto it = channel.connections.find(conn);
   if (it == channel.connections.end()) return;
   const std::set<Pid> orphans = std::move(it->second.pids);
+  if (it->second.slot) channel.page->ReleaseSlot(*it->second.slot);
   channel.connections.erase(it);  // the codec choice dies with it
   if (channel.closed.load(std::memory_order_acquire)) return;
   // A process that vanished without process_exit (crash, SIGKILL) still

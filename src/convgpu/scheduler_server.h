@@ -12,6 +12,12 @@
 // ONE shared ipc::MessageServer reactor: with N registered containers the
 // daemon runs exactly one reactor thread, not N+1. A container channel is a
 // ListenerId on that reactor, added at registration and removed at close.
+//
+// Each container also gets a ledger page (ledger_page.h) on its first hello
+// or reattach: the core publishes the container's cudaMemGetInfo answer on
+// it, the reactor stores in each connection's slot how many of its frames
+// have been handled, and the handshake reply carries the page's descriptor
+// and the slot index, so a wrapper answers cudaMemGetInfo without a frame.
 #pragma once
 
 #include <atomic>
@@ -23,6 +29,7 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "convgpu/codec.h"
+#include "convgpu/ledger_page.h"
 #include "convgpu/protocol.h"
 #include "convgpu/scheduler_core.h"
 #include "ipc/message_server.h"
@@ -91,6 +98,12 @@ class SchedulerServer {
     /// Pids that spoke on this connection — lets a crashed process (socket
     /// dropped without process_exit) still be cleaned up.
     std::set<Pid> pids;
+    /// Frames received on this connection, handshake included — what its
+    /// ledger-page slot reads once the daemon has handled them all.
+    std::uint64_t frames = 0;
+    /// This connection's slot on the container's ledger page, from its
+    /// hello/reattach on; released at disconnect.
+    std::optional<std::size_t> slot;
   };
 
   struct ContainerChannel {
@@ -102,6 +115,9 @@ class SchedulerServer {
     std::atomic<bool> closed{false};
     /// Reactor thread only (every handler runs there).
     std::map<ipc::ConnectionId, ConnectionState> connections;
+    /// Created on the container's first hello or reattach; reactor thread
+    /// only (the core holds its own reference for publishing).
+    std::shared_ptr<LedgerPage> page;
   };
 
   void HandleMain(ipc::ConnectionId conn, std::string_view payload);
@@ -127,15 +143,22 @@ class SchedulerServer {
   Result<std::shared_ptr<ContainerChannel>> EnsureChannel(
       const std::string& id);
   protocol::StatsReply BuildStats() const;
+  /// Gives `state`'s connection a slot on the container's ledger page,
+  /// creating the page on first use, and returns the page's descriptor for
+  /// the handshake reply; -1 when no page can be shared (the connection
+  /// then answers cudaMemGetInfo over the socket).
+  int ShareLedgerPage(ContainerChannel& channel,
+                      const std::string& container_id, ConnectionState& state);
   /// Encodes `message` with `codec` (the connection's negotiated encoding)
   /// and queues it on `conn`, echoing the correlation id of the request it
   /// answers (absent for id-less old clients); a failed send (vanished
   /// client, backpressure kick) is the client's problem, not the daemon's.
+  /// `fd` (a ledger page), when given, rides the frame with SCM_RIGHTS.
   /// Safe from any thread — deferred grants fire from whichever thread
   /// releases memory.
   void Reply(ipc::ConnectionId conn, const protocol::Codec& codec,
              const protocol::Message& message,
-             std::optional<protocol::ReqId> req_id);
+             std::optional<protocol::ReqId> req_id, int fd = -1);
   /// Records `conn`'s encoding after a hello or reattach handshake. Takes
   /// effect for the frames after the handshake reply, which itself rode
   /// the old encoding.

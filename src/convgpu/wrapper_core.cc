@@ -31,12 +31,6 @@ CudaError WrapperCore::EnsureGeometry() {
 template <typename AllocateFn>
 CudaError WrapperCore::GuardedAlloc(Bytes adjusted, const char* api,
                                     AllocateFn allocate) {
-  {
-    MutexLock lock(mutex_);
-    ++stats_.alloc_requests;
-    ++stats_.scheduler_round_trips;
-  }
-
   protocol::AllocRequest request;
   request.pid = pid_;
   request.size = adjusted;
@@ -46,6 +40,11 @@ CudaError WrapperCore::GuardedAlloc(Bytes adjusted, const char* api,
   // — sibling threads' allocations, commits, and frees keep flowing on the
   // same link, so another thread's cudaFree can be what unblocks us.
   auto pending = link_->AsyncCall(protocol::Message(request));
+  {
+    MutexLock lock(mutex_);
+    ++stats_.alloc_requests;
+    if (pending.round_trip()) ++stats_.scheduler_round_trips;
+  }
   auto reply = pending.get();
   if (!reply.ok()) {
     CONVGPU_LOG(kError, kTag) << api << ": scheduler unreachable: "
@@ -205,15 +204,17 @@ CudaError WrapperCore::MemGetInfo(std::size_t* free_bytes,
   if (free_bytes == nullptr || total_bytes == nullptr) {
     return CudaError::kInvalidValue;
   }
-  {
-    MutexLock lock(mutex_);
-    ++stats_.mem_get_info;
-    ++stats_.scheduler_round_trips;
-  }
   protocol::MemGetInfoRequest request;
   request.pid = pid_;
   // Also pipelined: a stats probe is answerable while an alloc is parked.
-  auto reply = link_->AsyncCall(protocol::Message(request)).get();
+  // A socket link usually answers from its ledger page without a frame.
+  auto pending = link_->AsyncCall(protocol::Message(request));
+  {
+    MutexLock lock(mutex_);
+    ++stats_.mem_get_info;
+    if (pending.round_trip()) ++stats_.scheduler_round_trips;
+  }
+  auto reply = pending.get();
   if (!reply.ok()) return CudaError::kSchedulerUnavailable;
   const auto* info = std::get_if<protocol::MemInfoReply>(&*reply);
   if (info == nullptr) return CudaError::kSchedulerUnavailable;

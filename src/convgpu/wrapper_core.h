@@ -13,7 +13,8 @@
 //    first pitched call and cached;
 //  * cudaMallocManaged — rounds to the 128 MiB mapping granularity;
 //  * cudaMemGetInfo — answered entirely by the scheduler (the virtualized
-//    per-container view), never by the real API;
+//    per-container view), never by the real API — usually from the ledger
+//    page the scheduler publishes, without a round trip;
 //  * __cudaUnregisterFatBinary — forwarded and reported as process exit.
 #pragma once
 
@@ -37,6 +38,8 @@ struct WrapperStats {
   std::uint64_t alloc_rejected = 0;
   std::uint64_t frees = 0;
   std::uint64_t mem_get_info = 0;
+  /// Calls that reached the scheduler; a cudaMemGetInfo answered from the
+  /// link's ledger page is not one.
   std::uint64_t scheduler_round_trips = 0;
 };
 

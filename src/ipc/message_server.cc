@@ -152,7 +152,8 @@ void MessageServer::MarkDirtyLocked(ConnectionId id) {
   }
 }
 
-Status MessageServer::SendBytes(ConnectionId conn, std::string_view payload) {
+Status MessageServer::SendBytes(ConnectionId conn, std::string_view payload,
+                                int fd) {
   MutexLock lock(mutex_);
   auto it = connections_.find(conn);
   if (it == connections_.end()) {
@@ -174,7 +175,22 @@ Status MessageServer::SendBytes(ConnectionId conn, std::string_view payload) {
     return ResourceExhaustedError("connection " + std::to_string(conn) +
                                   " write queue over cap");
   }
+  const bool first_in_line = connection.out_sent == connection.out.size();
   AppendFrame(connection.out, payload);
+  if (fd >= 0) {
+    const ssize_t n =
+        first_in_line
+            ? SendWithFd(connection.fd.get(), connection.out.data() +
+                                                  connection.out_sent,
+                         connection.out.size() - connection.out_sent, fd)
+            : -1;
+    if (n > 0) {
+      connection.out_sent += static_cast<std::size_t>(n);
+    } else {
+      CONVGPU_LOG(kWarn, kTag) << "connection " << conn
+                               << ": frame sent without its descriptor";
+    }
+  }
   if (reactor_tid_ == std::this_thread::get_id()) {
     // A handler answering at once: write now, under this same lock.
     WriteLocked(connection, conn);
@@ -489,11 +505,13 @@ Result<std::unique_ptr<MessageClient>> MessageClient::ConnectUnix(
 
 Status MessageClient::SendFrame(std::string_view payload) {
   MutexLock lock(write_mutex_);
-  return WriteFrame(fd_.get(), payload);
+  CONVGPU_RETURN_IF_ERROR(WriteFrame(fd_.get(), payload));
+  frames_sent_.fetch_add(1, std::memory_order_release);
+  return Status::Ok();
 }
 
 Result<std::string_view> MessageClient::RecvFrameView(
-    std::optional<Deadline> deadline) {
+    std::optional<Deadline> deadline, Fd* received) {
   for (;;) {
     const std::size_t available = in_end_ - in_begin_;
     std::size_t needed = kFrameHeaderBytes;
@@ -537,7 +555,10 @@ Result<std::string_view> MessageClient::RecvFrameView(
       if (ready == 0) return DeadlineExceededError("recv: timed out");
     }
     const ssize_t n =
-        ::read(fd_.get(), in_.data() + in_end_, in_.size() - in_end_);
+        received != nullptr
+            ? RecvWithFd(fd_.get(), in_.data() + in_end_,
+                         in_.size() - in_end_, received)
+            : ::read(fd_.get(), in_.data() + in_end_, in_.size() - in_end_);
     if (n < 0) {
       if (errno == EINTR) continue;
       return InternalError(std::string("read: ") + std::strerror(errno));

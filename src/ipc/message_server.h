@@ -35,6 +35,7 @@
 // a whole echo round trip through a listener).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -118,7 +119,13 @@ class MessageServer {
   /// as a vanished client) and kResourceExhausted if the connection just
   /// blew its write-queue cap (it is disconnected; the payload is not
   /// queued).
-  Status SendBytes(ConnectionId conn, std::string_view payload);
+  ///
+  /// With `fd` >= 0 the descriptor is passed along (SCM_RIGHTS) by a
+  /// sendmsg(2) made at once, on the frame's first byte. That needs the
+  /// frame to be first in line: when earlier output is still queued, or
+  /// the socket takes nothing, the frame goes out without the descriptor
+  /// (logged) — a peer must treat a missing descriptor as "none offered".
+  Status SendBytes(ConnectionId conn, std::string_view payload, int fd = -1);
 
   /// Closes one connection (flushing already-queued writes first).
   void CloseConnection(ConnectionId conn);
@@ -268,14 +275,25 @@ class MessageClient {
   /// without waiting. Used for handshakes against a possibly-hung peer.
   Result<std::string> RecvFrame(std::chrono::milliseconds timeout);
 
+  /// Frames SendFrame() has written on this connection, counted under the
+  /// send lock: a value k means the first k frames are in the socket, in
+  /// order. Read with acquire ordering.
+  [[nodiscard]] std::uint64_t frames_sent() const {
+    return frames_sent_.load(std::memory_order_acquire);
+  }
+
   /// The receive primitive the two RecvFrame()s copy out of: the next
   /// frame's payload as a view into the client's buffer, valid until the
   /// next receive call. Reads only when no complete frame is buffered, then
   /// polls until `deadline` first (no deadline: blocks). Errors: kAborted
   /// on EOF between frames, kInternal on EOF inside a frame or an oversized
   /// length (rejected from the header, before any payload is buffered),
-  /// kDeadlineExceeded on timeout.
-  Result<std::string_view> RecvFrameView(std::optional<Deadline> deadline);
+  /// kDeadlineExceeded on timeout. With `received`, the reads are
+  /// recvmsg(2)s and a descriptor passed with the frame's bytes
+  /// (SCM_RIGHTS) lands there — the handshake read that receives the
+  /// ledger page; otherwise the kernel discards such a descriptor.
+  Result<std::string_view> RecvFrameView(std::optional<Deadline> deadline,
+                                         Fd* received = nullptr);
 
   /// Shuts down both socket directions without closing the fd: a thread
   /// blocked in a receive wakes with EOF and later SendFrame()s fail
@@ -290,6 +308,7 @@ class MessageClient {
 
   Fd fd_;
   Mutex write_mutex_;  // SendFrame() may race with itself across threads
+  std::atomic<std::uint64_t> frames_sent_{0};  // bumped under write_mutex_
   // Receive buffer. Not locked: receives are single-reader by contract.
   std::string in_;
   std::size_t in_begin_ = 0;  // first unconsumed byte

@@ -182,6 +182,49 @@ Result<std::pair<Fd, Fd>> SocketPair() {
   return std::make_pair(Fd(fds[0]), Fd(fds[1]));
 }
 
+ssize_t SendWithFd(int socket, const char* data, std::size_t size, int fd) {
+  iovec iov{const_cast<char*>(data), size};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))] = {};
+  msghdr message{};
+  message.msg_iov = &iov;
+  message.msg_iovlen = 1;
+  message.msg_control = control;
+  message.msg_controllen = sizeof(control);
+  cmsghdr* cmsg = CMSG_FIRSTHDR(&message);
+  cmsg->cmsg_level = SOL_SOCKET;
+  cmsg->cmsg_type = SCM_RIGHTS;
+  cmsg->cmsg_len = CMSG_LEN(sizeof(int));
+  std::memcpy(CMSG_DATA(cmsg), &fd, sizeof(int));
+  for (;;) {
+    const ssize_t n = ::sendmsg(socket, &message, MSG_NOSIGNAL);
+    if (n >= 0 || errno != EINTR) return n;
+  }
+}
+
+ssize_t RecvWithFd(int socket, char* data, std::size_t size, Fd* received) {
+  iovec iov{data, size};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))] = {};
+  msghdr message{};
+  message.msg_iov = &iov;
+  message.msg_iovlen = 1;
+  message.msg_control = control;
+  message.msg_controllen = sizeof(control);
+  ssize_t n = 0;
+  do {
+    n = ::recvmsg(socket, &message, MSG_CMSG_CLOEXEC);
+  } while (n < 0 && errno == EINTR);
+  for (cmsghdr* cmsg = n < 0 ? nullptr : CMSG_FIRSTHDR(&message);
+       cmsg != nullptr; cmsg = CMSG_NXTHDR(&message, cmsg)) {
+    if (cmsg->cmsg_level == SOL_SOCKET && cmsg->cmsg_type == SCM_RIGHTS &&
+        cmsg->cmsg_len == CMSG_LEN(sizeof(int))) {
+      int fd = -1;
+      std::memcpy(&fd, CMSG_DATA(cmsg), sizeof(int));
+      received->Reset(fd);
+    }
+  }
+  return n;
+}
+
 Status WriteExact(int fd, const void* data, std::size_t size) {
   const char* p = static_cast<const char*>(data);
   std::size_t remaining = size;

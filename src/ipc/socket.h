@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <string>
 
+#include <sys/types.h>
+
 #include "common/result.h"
 #include "ipc/fd.h"
 
@@ -69,6 +71,16 @@ Result<Fd> TcpConnect(std::uint16_t port);
 
 /// Connected AF_UNIX socket pair (for in-process tests of socket code).
 Result<std::pair<Fd, Fd>> SocketPair();
+
+/// One sendmsg(2) of up to `size` bytes with descriptor `fd` attached
+/// (SCM_RIGHTS, on the first byte), retried on EINTR. Returns the bytes
+/// sent, or -1 with errno set (EAGAIN on a full non-blocking socket).
+ssize_t SendWithFd(int socket, const char* data, std::size_t size, int fd);
+
+/// One recvmsg(2) into `data`, retried on EINTR. A descriptor passed with
+/// the bytes (SCM_RIGHTS) is stored in `received`, close-on-exec. Returns
+/// the bytes read (0 at EOF), or -1 with errno set.
+ssize_t RecvWithFd(int socket, char* data, std::size_t size, Fd* received);
 
 /// Writes all `size` bytes, retrying on EINTR / short writes.
 Status WriteExact(int fd, const void* data, std::size_t size);

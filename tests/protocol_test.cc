@@ -690,7 +690,8 @@ std::vector<Message> FullyPopulatedMessages() {
                  .error = "unknown container",
                  .epoch = kEpoch,
                  .limit = 512_MiB,
-                 .binary = true},
+                 .binary = true,
+                 .page_slot = std::nullopt},
       Reattach{.container_id = "job-1",
                .pid = 4242,
                .epoch = kEpoch,
@@ -698,8 +699,11 @@ std::vector<Message> FullyPopulatedMessages() {
                .allocations = {{.address = kAddress, .size = 128_MiB},
                                {.address = kAddress + 128_MiB, .size = 1_MiB}},
                .binary = true},
-      ReattachReply{
-          .ok = false, .error = "stale epoch", .epoch = kEpoch, .binary = true},
+      ReattachReply{.ok = false,
+                    .error = "stale epoch",
+                    .epoch = kEpoch,
+                    .binary = true,
+                    .page_slot = std::nullopt},
   };
 }
 
@@ -720,14 +724,19 @@ std::vector<GoldenInput> GoldenInputs() {
                  .error = "",
                  .epoch = kEpoch,
                  .limit = 512_MiB,
-                 .binary = false},
+                 .binary = false,
+                 .page_slot = std::nullopt},
       Reattach{.container_id = "job-1",
                .pid = 4242,
                .epoch = kEpoch,
                .limit = 512_MiB,
                .allocations = {},
                .binary = false},
-      ReattachReply{.ok = true, .error = "", .epoch = kEpoch, .binary = false},
+      ReattachReply{.ok = true,
+                    .error = "",
+                    .epoch = kEpoch,
+                    .binary = false,
+                    .page_slot = std::nullopt},
   };
   std::vector<GoldenInput> inputs;
   ReqId next_id = 1;
@@ -1059,6 +1068,72 @@ TEST(CodecPropertyTest, CorruptedBinaryFramesNeverCrash) {
       garbage[b] = static_cast<char>(rng.UniformBelow(256));
     }
     check(garbage);
+  }
+}
+
+TEST(CodecTest, HandshakeRepliesCarryThePageSlot) {
+  // The ledger page's slot rides the handshake reply; absent (no page) it
+  // is left out, so every golden row above stays as it was.
+  const Message hello = HelloReply{.ok = true,
+                                   .error = "",
+                                   .epoch = kEpoch,
+                                   .limit = 512_MiB,
+                                   .binary = true,
+                                   .page_slot = 3};
+  const Message reattach = ReattachReply{.ok = true,
+                                         .error = "",
+                                         .epoch = kEpoch,
+                                         .binary = false,
+                                         .page_slot = 0};
+  EXPECT_EQ(EncodePayload(json_codec(), hello, 9),
+            R"({"binary":true,"epoch":280298068560638,"limit":536870912,)"
+            R"("ok":true,"page_slot":3,"req_id":9,"type":"hello_reply"})");
+  EXPECT_EQ(EncodePayload(json_codec(), reattach),
+            R"({"epoch":280298068560638,"ok":true,"page_slot":0,)"
+            R"("type":"reattach_reply"})");
+  for (const Message& message : {hello, reattach}) {
+    for (const Codec* codec : {&json_codec(), &binary_codec()}) {
+      auto decoded = DecodePayload(EncodePayload(*codec, message, 5));
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_TRUE(*decoded == message) << codec->name();
+    }
+  }
+}
+
+TEST(CodecPropertyTest, DecodeYieldsThePeekedReqIdInOnePass) {
+  // A receiver decodes each frame once: the id that comes with the decode
+  // is the one PeekReqId reads, for well-formed frames and for every
+  // truncation and bit flip of them, in both encodings.
+  Rng rng(0x1D5);
+  auto check = [](const std::string& bytes) {
+    std::optional<ReqId> req_id = 12345;  // overwritten, never kept
+    auto decoded = DecodePayload(bytes, req_id);
+    EXPECT_EQ(req_id, PeekPayloadReqId(bytes)) << bytes;
+    auto alone = DecodePayload(bytes);
+    ASSERT_EQ(decoded.ok(), alone.ok()) << bytes;
+    if (decoded.ok()) {
+      EXPECT_TRUE(*decoded == *alone);
+    } else {
+      EXPECT_EQ(decoded.status().message(), alone.status().message());
+    }
+  };
+  for (const std::string_view golden : kGoldenJson) check(std::string(golden));
+  for (int i = 0; i < 200; ++i) {
+    const Message message =
+        RandomMessage(rng, static_cast<std::size_t>(i) % kVariantCount);
+    for (const Codec* codec : {&json_codec(), &binary_codec()}) {
+      const std::optional<ReqId> id =
+          i % 3 == 0 ? std::nullopt : std::optional<ReqId>(i + 1);
+      const std::string bytes = EncodePayload(*codec, message, id);
+      check(bytes);
+      check(bytes.substr(0, bytes.size() / 2));
+      std::string mutated = bytes;
+      const std::size_t pos = rng.UniformBelow(mutated.size());
+      mutated[pos] = static_cast<char>(
+          static_cast<unsigned char>(mutated[pos]) ^
+          (1u << rng.UniformBelow(8)));
+      check(mutated);
+    }
   }
 }
 

@@ -10,9 +10,10 @@
 #   6. format    — clang-format --dry-run on tracked sources (skipped if absent)
 #   7. pipelining — the link-concurrency suites only (ReplyRouter demux,
 #                  caller-led reads, reordered replies, daemon-death fault
-#                  paths, the 64x4 hammer, the reactor and the buffered
-#                  client) under BOTH TSan and ASan; the fast loop for work
-#                  on scheduler_link/protocol/ipc. Subset of legs 4+5.
+#                  paths, the 64x4 hammer, the reactor, the buffered
+#                  client, the ledger page) under BOTH TSan and ASan; the
+#                  fast loop for work on scheduler_link/protocol/ipc.
+#                  Subset of legs 4+5.
 #   8. reconnect — the daemon-restart suites (fault harness, reattach and
 #                  replay paths, RestoreProcess reconciliation) under BOTH
 #                  TSan and ASan; the fast loop for work on the reconnect
@@ -137,8 +138,9 @@ asan_impl() {
 }
 
 # MessageServer/MessageClient cover the reactor and the buffered client the
-# link's callers read through; SchedulerServerStart the daemon's readiness.
-PIPELINING_FILTER='ReplyRouter|SchedulerLinkPipelining|PipelinedLink|ProtocolTest|FailureInjection|Hammer|MessageServer|MessageClient|SchedulerServerStart'
+# link's callers read through; SchedulerServerStart the daemon's readiness;
+# LedgerPage the page's seqlock, read by callers while the daemon writes it.
+PIPELINING_FILTER='ReplyRouter|SchedulerLinkPipelining|PipelinedLink|ProtocolTest|FailureInjection|Hammer|MessageServer|MessageClient|SchedulerServerStart|LedgerPage'
 
 leg_pipelining() {
   note "leg: pipelining concurrency suites under TSan + ASan"
@@ -166,8 +168,9 @@ pipelining_asan_impl() {
 }
 
 # Also matches SchedulerLinkPipeliningTest.ReconnectGetsAFreshIdSpace, which
-# belongs in the reconnect fast loop anyway.
-RECONNECT_FILTER='Reconnect|RestoreProcess'
+# belongs in the reconnect fast loop anyway. LedgerPage: a reattach swaps
+# the page a link reads.
+RECONNECT_FILTER='Reconnect|RestoreProcess|LedgerPage'
 
 leg_reconnect() {
   note "leg: daemon-restart suites under TSan + ASan"

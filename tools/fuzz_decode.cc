@@ -1,11 +1,12 @@
 // Fuzz target for the wire-payload decode path (codec.h).
 //
 // Feeds arbitrary bytes through exactly what the daemon and the link run
-// on every received frame: PeekPayloadReqId + DecodePayload (which sniffs
-// the encoding, so one target covers BOTH codecs — JSON documents exercise
-// JsonCodec, payloads starting with kBinaryMagic exercise BinaryCodec).
-// The contract under fuzz: never crash, never hang, never read out of
-// bounds, and report failures only as kInvalidArgument.
+// on every received frame: DecodePayload with its correlation id (which
+// sniffs the encoding, so one target covers BOTH codecs — JSON documents
+// exercise JsonCodec, payloads starting with kBinaryMagic exercise
+// BinaryCodec). The contract under fuzz: never crash, never hang, never
+// read out of bounds, report failures only as kInvalidArgument, and yield
+// the same id PeekPayloadReqId reads.
 //
 // Two build modes:
 //  * -DCONVGPU_FUZZ=ON (clang only): a libFuzzer binary — run it with a
@@ -31,11 +32,14 @@
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string_view payload(reinterpret_cast<const char*>(data), size);
-  (void)convgpu::protocol::PeekPayloadReqId(payload);
-  auto decoded = convgpu::protocol::DecodePayload(payload);
+  std::optional<convgpu::protocol::ReqId> req_id;
+  auto decoded = convgpu::protocol::DecodePayload(payload, req_id);
   if (!decoded.ok() &&
       decoded.status().code() != convgpu::StatusCode::kInvalidArgument) {
     __builtin_trap();  // decode failures must be typed kInvalidArgument
+  }
+  if (req_id != convgpu::protocol::PeekPayloadReqId(payload)) {
+    __builtin_trap();  // the one-pass id must be the peeked one
   }
   return 0;
 }
@@ -142,7 +146,8 @@ int main() {
                  .error = "stale",
                  .epoch = 0xFEED,
                  .limit = 512ll << 20,
-                 .binary = true},
+                 .binary = true,
+                 .page_slot = std::nullopt},
       Reattach{.container_id = "fuzz",
                .pid = 1,
                .epoch = 0xFEED,
@@ -151,7 +156,8 @@ int main() {
                                {.address = kAddress, .size = 4096}},
                .binary = true},
       ReattachReply{.ok = true, .error = "stale", .epoch = 0xFEED,
-                    .binary = true},
+                    .binary = true,
+                 .page_slot = std::nullopt},
   };
   if (seeds.size() != std::variant_size_v<Message>) {
     std::fprintf(stderr, "fuzz_decode: %zu seeds for %zu variants\n",
