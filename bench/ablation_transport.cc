@@ -84,8 +84,11 @@ void BM_Transport_direct(benchmark::State& state) {
 void BM_Transport_unix_socket(benchmark::State& state) {
   static PaperTestbed testbed("abl-unix", 4 * kGiB);
   static auto link = [] {
+    SocketSchedulerLink::Options options;
+    options.container_id = "bench";
+    options.pid = 1;
     auto connected = SocketSchedulerLink::Connect(
-        testbed.server().container_socket_path("bench"));
+        testbed.server().container_socket_path("bench"), options);
     if (!connected.ok()) std::abort();
     // Prime overhead accounting.
     auto reply = (*connected)->Call(AllocMessage());

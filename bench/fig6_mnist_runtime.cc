@@ -76,8 +76,11 @@ int main() {
   {
     // Wrapped: stats come from the wrapper's inner runtime instance.
     cudasim::SimCudaApi inner(&testbed.device(), 444);
+    SocketSchedulerLink::Options options;
+    options.container_id = "bench";
+    options.pid = 444;
     auto link = SocketSchedulerLink::Connect(
-        testbed.server().container_socket_path("bench"));
+        testbed.server().container_socket_path("bench"), options);
     if (!link.ok()) return 1;
     WrapperCore wrapper(&inner, link->get(), 444);
     for (int i = 0; i < kRepeats; ++i) {

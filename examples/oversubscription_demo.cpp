@@ -71,7 +71,11 @@ int RunRound(bool with_convgpu) {
       request.name = spec.name;
       request.nvidia_memory = "2GiB";
       request.entrypoint = [&gpu, &failures](containersim::ContainerContext& ctx) {
-        auto link = SocketSchedulerLink::Connect(*ctx.Env("CONVGPU_SOCKET"));
+        SocketSchedulerLink::Options options;
+        options.container_id = *ctx.Env("CONVGPU_CONTAINER_ID");
+        options.pid = ctx.pid();
+        auto link =
+            SocketSchedulerLink::Connect(*ctx.Env("CONVGPU_SOCKET"), options);
         if (!link.ok()) return 2;
         cudasim::SimCudaApi runtime(&gpu, ctx.pid());
         WrapperCore wrapper(&runtime, link->get(), ctx.pid());

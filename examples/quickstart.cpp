@@ -55,8 +55,11 @@ int main() {
   // exactly as LD_PRELOAD assembles it in a real container.
   auto gpu_program = [&gpu](Bytes alloc_size) {
     return [&gpu, alloc_size](containersim::ContainerContext& ctx) -> int {
-      auto socket = ctx.Env("CONVGPU_SOCKET");
-      auto link = SocketSchedulerLink::Connect(*socket);
+      SocketSchedulerLink::Options options;
+      options.container_id = *ctx.Env("CONVGPU_CONTAINER_ID");
+      options.pid = ctx.pid();
+      auto link =
+          SocketSchedulerLink::Connect(*ctx.Env("CONVGPU_SOCKET"), options);
       if (!link.ok()) return 1;
       cudasim::SimCudaApi runtime(&gpu, ctx.pid());           // "libcudart"
       WrapperCore wrapper(&runtime, link->get(), ctx.pid());  // "libgpushare"

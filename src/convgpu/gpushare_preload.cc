@@ -14,10 +14,13 @@
 // Environment (set by the customized nvidia-docker):
 //   CONVGPU_SOCKET        per-container scheduler socket. Unset => the
 //                         wrapper is transparent (pure forwarding).
-//   CONVGPU_CONTAINER_ID  enables the hello handshake and transparent
-//                         reconnect: the link survives scheduler restarts,
-//                         reattaching with this process's live-allocation
-//                         snapshot. Unset => legacy one-shot connection.
+//   CONVGPU_CONTAINER_ID  named in the hello that opens the connection and
+//                         in every reattach: the link survives scheduler
+//                         restarts, reattaching with this process's
+//                         live-allocation snapshot. Unset while
+//                         CONVGPU_SOCKET is set => the wrapper reports that
+//                         it cannot reach the scheduler and stays
+//                         transparent.
 #include <dlfcn.h>
 #include <unistd.h>
 
@@ -191,11 +194,9 @@ PreloadState& State() {
       const convgpu::Pid pid = static_cast<convgpu::Pid>(::getpid());
       convgpu::SocketSchedulerLink::Options options;
       const char* container_id = std::getenv("CONVGPU_CONTAINER_ID");
-      if (container_id != nullptr && container_id[0] != '\0') {
-        options.container_id = container_id;
-        options.pid = pid;
-        options.auto_reconnect = true;
-      }
+      if (container_id != nullptr) options.container_id = container_id;
+      options.pid = pid;
+      options.auto_reconnect = true;
       auto link = convgpu::SocketSchedulerLink::Connect(socket, options);
       if (link.ok()) {
         s.link = std::move(*link);

@@ -26,12 +26,12 @@ Result<Message> Call(ipc::MessageClient& client, const Message& request,
   if (!reply.ok()) return reply.status();
   std::optional<ReqId> echoed;
   auto message = DecodePayload(*reply, echoed);
-  // An id-less reply is a legitimate old peer; a *wrong* id means the
-  // stream answered some other request.
-  if (echoed && req_id && *echoed != *req_id) {
+  // A reply to an id-bearing request echoes that id: a missing or *wrong*
+  // id means the stream answered some other request.
+  if (req_id && echoed != req_id) {
     return FailedPreconditionError(
         "reply correlation mismatch: sent req_id " + std::to_string(*req_id) +
-        ", got " + std::to_string(*echoed));
+        ", got " + (echoed ? std::to_string(*echoed) : "none"));
   }
   return message;
 }

@@ -383,8 +383,9 @@ using Message =
 /// Request-correlation id. Ids are assigned by the *requesting* side, are
 /// opaque to the scheduler, and scope to one connection; a peer echoes the
 /// id of the request a reply answers (deferred grants included). Frames
-/// without an id remain fully valid — the pre-correlation protocol — so
-/// old and new peers interoperate in both directions.
+/// without an id stay valid on the wire: notifications and handshakes carry
+/// none, and neither does tooling that keeps one call in flight. A reply to
+/// an id-less request is id-less too.
 using ReqId = std::uint64_t;
 
 /// Largest id representable on the wire: ids ride in a JSON integer field
@@ -434,13 +435,13 @@ namespace convgpu::protocol {
 /// Typed request/reply over a blocking client: encode as JSON, send, block
 /// for one frame, decode it in whichever encoding it arrives. Suspended
 /// allocation replies block here, exactly like the raw client. When
-/// `req_id` is given it rides on the request and the reply's echoed id — if
-/// the peer echoes one at all (old daemons do not) — must match, else
-/// kFailedPrecondition; this catches a desynchronized stream instead of
-/// silently consuming someone else's reply. With a `timeout`, the reply
-/// must start arriving within it or the call fails with kDeadlineExceeded
-/// (handshakes against a possibly-hung peer). With `received`, a descriptor
-/// passed with the reply (the ledger page on a handshake reply) lands there.
+/// `req_id` is given it rides on the request and the reply must echo it; a
+/// reply with another id or none fails with kFailedPrecondition, which
+/// catches a desynchronized stream instead of silently consuming someone
+/// else's reply. With a `timeout`, the reply must start arriving within it
+/// or the call fails with kDeadlineExceeded (handshakes against a
+/// possibly-hung peer). With `received`, a descriptor passed with the reply
+/// (the ledger page on a handshake reply) lands there.
 Result<Message> Call(
     ipc::MessageClient& client, const Message& request,
     std::optional<ReqId> req_id = std::nullopt,

@@ -41,8 +41,8 @@ class RouterCore {
   std::size_t FindLocked(protocol::ReqId id) const REQUIRES(mutex);
   void CompleteLocked(CallSlot& slot, Result<protocol::Message> reply)
       REQUIRES(mutex);
-  Status RouteLocked(std::optional<protocol::ReqId> req_id,
-                     Result<protocol::Message> reply) REQUIRES(mutex);
+  Status RouteLocked(protocol::ReqId req_id, Result<protocol::Message> reply)
+      REQUIRES(mutex);
   /// Wakes one waiting caller to take the reader role, if one may.
   void PromoteLocked() REQUIRES(mutex);
 
@@ -100,24 +100,17 @@ void RouterCore::CompleteLocked(CallSlot& slot,
   }
 }
 
-Status RouterCore::RouteLocked(std::optional<protocol::ReqId> req_id,
+Status RouterCore::RouteLocked(protocol::ReqId req_id,
                                Result<protocol::Message> reply) {
-  std::size_t index = 0;  // id-less peer (pre-correlation daemon): replies
-                          // are FIFO because that protocol allowed only one
-                          // call in flight per connection.
-  if (req_id) {
-    index = FindLocked(*req_id);
-    if (index == pending.size()) {
-      // Below the counter: an id we already answered (duplicate). At or
-      // above it: an id this connection never issued. Either way nobody
-      // may receive it.
-      return FailedPreconditionError(
-          *req_id < next_id
-              ? "duplicate reply for req_id " + std::to_string(*req_id)
-              : "reply for never-issued req_id " + std::to_string(*req_id));
-    }
-  } else if (pending.empty()) {
-    return FailedPreconditionError("id-less reply with no call pending");
+  const std::size_t index = FindLocked(req_id);
+  if (index == pending.size()) {
+    // Below the counter: an id we already answered (duplicate). At or above
+    // it: an id this connection never issued. Either way nobody may receive
+    // it.
+    return FailedPreconditionError(
+        req_id < next_id
+            ? "duplicate reply for req_id " + std::to_string(req_id)
+            : "reply for never-issued req_id " + std::to_string(req_id));
   }
   const std::shared_ptr<CallSlot> slot = std::move(pending[index].second);
   pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(index));
@@ -144,13 +137,20 @@ Status RouterCore::RouteFrame(std::string_view frame, const CallSlot* mine,
   // misinterpreted.
   std::optional<protocol::ReqId> req_id;
   auto message = protocol::DecodePayload(frame, req_id);
-  if (!message.ok() && !req_id) return message.status();
+  if (!req_id) {
+    if (!message.ok()) return message.status();
+    // Every call carries an id and the daemon echoes it: a reply without
+    // one belongs to no caller.
+    CONVGPU_LOG(kWarn, kTag) << "dropping id-less reply: "
+                             << protocol::TypeName(*message);
+    return Status::Ok();
+  }
   Status routed;
   {
     MutexLock lock(mutex);
-    routed = message.ok() ? RouteLocked(req_id, std::move(*message))
-                          : RouteLocked(req_id, Result<protocol::Message>(
-                                                    message.status()));
+    routed = message.ok() ? RouteLocked(*req_id, std::move(*message))
+                          : RouteLocked(*req_id, Result<protocol::Message>(
+                                                     message.status()));
     *mine_done = mine != nullptr && mine->reply.has_value();
   }
   if (!routed.ok()) {
@@ -303,7 +303,7 @@ SchedulerLink::ReplyFuture ReplyRouter::Park(const protocol::Message& request,
   return ReplyFuture(core_, parked.slot);
 }
 
-Status ReplyRouter::Route(std::optional<protocol::ReqId> req_id,
+Status ReplyRouter::Route(protocol::ReqId req_id,
                           Result<protocol::Message> reply) {
   MutexLock lock(core_->mutex);
   return core_->RouteLocked(req_id, std::move(reply));
@@ -399,15 +399,6 @@ bool IsReplayable(const protocol::Message& request) {
 
 }  // namespace
 
-Result<std::unique_ptr<SocketSchedulerLink>> SocketSchedulerLink::Connect(
-    const std::string& socket_path) {
-  auto client = ipc::MessageClient::ConnectUnix(socket_path);
-  if (!client.ok()) return client.status();
-  return std::unique_ptr<SocketSchedulerLink>(new SocketSchedulerLink(
-      std::move(*client), socket_path, Options{}, /*epoch=*/0, /*limit=*/0,
-      /*binary=*/false, /*page=*/nullptr));
-}
-
 namespace {
 
 /// Maps the ledger page a handshake reply carried; null when none came
@@ -428,39 +419,33 @@ std::unique_ptr<LedgerPageView> MapLedgerPage(
 
 Result<std::unique_ptr<SocketSchedulerLink>> SocketSchedulerLink::Connect(
     const std::string& socket_path, Options options) {
+  if (options.container_id.empty()) {
+    return InvalidArgumentError(
+        "a scheduler link needs a container_id for its hello");
+  }
   auto client =
       ipc::MessageClient::ConnectUnix(socket_path, options.handshake_timeout);
   if (!client.ok()) return client.status();
 
-  std::uint64_t epoch = 0;
-  Bytes limit = 0;
-  bool binary = false;
-  std::unique_ptr<LedgerPageView> page;
-  if (!options.container_id.empty()) {
-    protocol::Hello hello;
-    hello.container_id = options.container_id;
-    hello.pid = options.pid;
-    // Codec negotiation rides the handshake, which itself always travels
-    // as JSON — an old daemon simply ignores the unknown key and never
-    // echoes it, which reads back as "JSON only".
-    hello.binary = options.enable_binary;
-    ipc::Fd page_fd;
-    auto reply = protocol::Expect<protocol::HelloReply>(
-        protocol::Call(**client, protocol::Message(hello), std::nullopt,
-                       options.handshake_timeout, &page_fd));
-    if (!reply.ok()) return reply.status();
-    if (!reply->ok) {
-      return FailedPreconditionError("hello rejected by scheduler: " +
-                                     reply->error);
-    }
-    epoch = reply->epoch;
-    limit = reply->limit;
-    binary = reply->binary && options.enable_binary;
-    page = MapLedgerPage(std::move(page_fd), reply->page_slot);
+  protocol::Hello hello;
+  hello.container_id = options.container_id;
+  hello.pid = options.pid;
+  // Codec negotiation rides the handshake, which itself always travels as
+  // JSON; a reply without "binary" keeps the connection on JSON.
+  hello.binary = true;
+  ipc::Fd page_fd;
+  auto reply = protocol::Expect<protocol::HelloReply>(
+      protocol::Call(**client, protocol::Message(hello), std::nullopt,
+                     options.handshake_timeout, &page_fd));
+  if (!reply.ok()) return reply.status();
+  if (!reply->ok) {
+    return FailedPreconditionError("hello rejected by scheduler: " +
+                                   reply->error);
   }
+  auto page = MapLedgerPage(std::move(page_fd), reply->page_slot);
   return std::unique_ptr<SocketSchedulerLink>(new SocketSchedulerLink(
-      std::move(*client), socket_path, std::move(options), epoch, limit,
-      binary, std::move(page)));
+      std::move(*client), socket_path, std::move(options), reply->epoch,
+      reply->limit, reply->binary, std::move(page)));
 }
 
 SocketSchedulerLink::SocketSchedulerLink(
@@ -702,8 +687,6 @@ bool SocketSchedulerLink::Reconnect() {
 
 Status SocketSchedulerLink::ReattachHandshake(
     ipc::MessageClient& client, std::unique_ptr<LedgerPageView>& page) {
-  if (options_.container_id.empty()) return Status::Ok();  // no handshake
-
   protocol::Reattach reattach;
   std::function<std::vector<protocol::LiveAlloc>()> snapshot;
   {
@@ -716,10 +699,10 @@ Status SocketSchedulerLink::ReattachHandshake(
   }
   if (snapshot) reattach.allocations = snapshot();
   // Codec choice is per *connection*, so every reconnect renegotiates from
-  // scratch — the daemon answering this reattach may be an older or
-  // differently-configured incarnation than the one the link last spoke to.
-  // The handshake itself always travels as JSON.
-  reattach.binary = options_.enable_binary;
+  // scratch: the daemon answering this reattach may answer differently than
+  // the one the link last spoke to. The handshake itself always travels as
+  // JSON.
+  reattach.binary = true;
 
   ipc::Fd page_fd;
   auto reply = protocol::Expect<protocol::ReattachReply>(
@@ -733,9 +716,8 @@ Status SocketSchedulerLink::ReattachHandshake(
   page = MapLedgerPage(std::move(page_fd), reply->page_slot);
   MutexLock lock(state_mutex_);
   epoch_ = reply->epoch;  // a restarted daemon hands out its new epoch
-  codec_ = (reply->binary && options_.enable_binary)
-               ? &protocol::binary_codec()
-               : &protocol::json_codec();
+  codec_ =
+      reply->binary ? &protocol::binary_codec() : &protocol::json_codec();
   return Status::Ok();
 }
 

@@ -3,9 +3,10 @@
 // Two implementations:
 //  * SocketSchedulerLink — length-prefixed frames over the container's
 //    UNIX socket (production path, what the paper measures in Fig. 4).
-//    The payload encoding — the paper's JSON, or the compact binary layout
-//    from codec.h — is negotiated per connection in the hello/reattach
-//    handshake;
+//    Every connection opens with a hello (a reconnect with a reattach) that
+//    names the container and pid; the daemon acts on nothing a connection
+//    sends before it. The payload encoding — the paper's JSON, or the
+//    compact binary layout from codec.h — is negotiated in that handshake;
 //  * DirectSchedulerLink — calls a SchedulerCore in-process (unit tests and
 //    the zero-IPC rung of the transport ablation).
 //
@@ -14,9 +15,9 @@
 // lets N threads keep N requests outstanding on one socket. In particular a
 // *suspended* alloc_request — parked daemon-side until another container
 // releases memory — no longer blocks sibling threads' calls, commits, or
-// frees. (Earlier versions had no ids on the wire, faithful to the paper,
-// and serialized whole Call() exchanges under a per-link mutex; an id-less
-// peer still works, see ReplyRouter::Route.)
+// frees. (The paper's wrapper had no ids on the wire and kept one call in
+// flight; here a reply is routed by its id alone, and one without an id is
+// dropped.)
 //
 // Who reads the socket — leader/follower. There is no demux thread on the
 // reply path. A caller waiting on its ReplyFuture *leads*: when no other
@@ -37,12 +38,13 @@
 // failure, an unparsable frame, or the link's destruction) it shuts the
 // socket down so a leader blocked in read wakes with EOF, waits for that
 // leader to step down, drains whatever replies arrived before the EOF,
-// and then runs the connection-loss paths: fail everything (legacy link),
-// or fail the non-replayable calls, park the replayable ones, reconnect,
-// reattach, reissue them and install the new connection — whereupon one
-// waiting caller is promoted to lead on it. A caller that was leading on
-// the dead connection simply finds its slot still open and leads again on
-// the new one (a replayed mem_get_info), or finds it failed (an alloc).
+// and then runs the connection-loss paths: fail everything (no
+// auto_reconnect), or fail the non-replayable calls, park the replayable
+// ones, reconnect, reattach, reissue them and install the new connection —
+// whereupon one waiting caller is promoted to lead on it. A caller that was
+// leading on the dead connection simply finds its slot still open and leads
+// again on the new one (a replayed mem_get_info), or finds it failed (an
+// alloc).
 //
 // cudaMemGetInfo usually never leaves the process. The handshake reply
 // hands the link the container's ledger page (ledger_page.h) and its
@@ -203,13 +205,11 @@ class ReplyRouter {
   SchedulerLink::ReplyFuture Park(const protocol::Message& request,
                                   Parked& parked);
 
-  /// Completes the pending call `req_id` names. An absent id routes to the
-  /// oldest outstanding call — the pre-correlation protocol, where replies
-  /// are strictly FIFO because clients kept at most one call in flight.
-  /// kFailedPrecondition for a duplicate, unknown, or id-less-with-nothing-
-  /// pending reply: it is dropped, never delivered to the wrong caller.
-  Status Route(std::optional<protocol::ReqId> req_id,
-               Result<protocol::Message> reply);
+  /// Completes the pending call `req_id` names. kFailedPrecondition for a
+  /// duplicate or never-issued id: the reply is dropped, never delivered to
+  /// the wrong caller. (A reply frame without an id never gets here: the
+  /// reader drops it.)
+  Status Route(protocol::ReqId req_id, Result<protocol::Message> reply);
 
   /// Fails every outstanding call with `status` (peer vanished). Later
   /// Route()s find nothing pending.
@@ -250,31 +250,22 @@ class ReplyRouter {
   std::shared_ptr<link_internal::RouterCore> core_;
 };
 
-/// Configuration for a reconnect-capable link. Default-constructed options
-/// reproduce the legacy behavior exactly: no handshake, and a lost daemon
-/// is a sticky kUnavailable on every outstanding and future call.
+/// Configuration for a link. Without auto_reconnect, a lost daemon is a
+/// sticky kUnavailable on every outstanding and future call.
 struct SocketSchedulerLinkOptions {
-  /// Enables the hello/reattach handshake. Empty => no handshake (legacy
-  /// peers, tooling on the main socket).
+  /// Named in the hello and every reattach; required.
   std::string container_id;
   Pid pid = 0;
 
   /// Reconnect transparently after daemon loss: capped exponential backoff,
   /// reattach with the wrapper's ledger snapshot, replay of idempotent
-  /// in-flight calls (mem_get_info, ping, stats). Requires container_id.
+  /// in-flight calls (mem_get_info, ping, stats).
   bool auto_reconnect = false;
   std::chrono::milliseconds initial_backoff{10};
   std::chrono::milliseconds max_backoff{1000};
   /// Bounds connect(2) and each handshake reply wait, so a hung (accepting
   /// but unresponsive) daemon cannot wedge the reconnect worker.
   std::chrono::milliseconds handshake_timeout{2000};
-
-  /// Advertise the binary wire encoding (codec.h) in the hello/reattach
-  /// handshake; the connection speaks binary only when the daemon accepts.
-  /// Off, the link is a pure-JSON peer — how interop tests model an old
-  /// wrapper. Requires container_id (the legacy no-handshake connect never
-  /// negotiates and always speaks JSON).
-  bool enable_binary = true;
 
   /// The wrapper's live-allocation snapshot, sent with reattach so a
   /// restarted daemon can rebuild this pid's ledger state. May also be set
@@ -298,13 +289,10 @@ class SocketSchedulerLink final : public SchedulerLink {
  public:
   using Options = SocketSchedulerLinkOptions;
 
-  /// Legacy connect: no handshake, no reconnect.
-  static Result<std::unique_ptr<SocketSchedulerLink>> Connect(
-      const std::string& socket_path);
-
-  /// Connect with a hello handshake (when options.container_id is set) and
-  /// optional transparent reconnect. The handshake runs synchronously here;
-  /// a daemon that refuses the hello fails the connect.
+  /// Connects and says hello, advertising the binary encoding; the link
+  /// speaks binary only when the reply grants it. The handshake runs
+  /// synchronously here: kInvalidArgument without options.container_id,
+  /// and a daemon that refuses the hello fails the connect.
   static Result<std::unique_ptr<SocketSchedulerLink>> Connect(
       const std::string& socket_path, Options options);
 
@@ -321,7 +309,7 @@ class SocketSchedulerLink final : public SchedulerLink {
   [[nodiscard]] std::size_t outstanding_calls() const {
     return router_.pending_count();
   }
-  /// Daemon session epoch learned at hello/reattach; 0 without a handshake.
+  /// Daemon session epoch learned at hello/reattach.
   [[nodiscard]] std::uint64_t session_epoch() const;
   /// Completed reattaches (0 until the first daemon loss is survived).
   [[nodiscard]] std::uint64_t reconnect_count() const;

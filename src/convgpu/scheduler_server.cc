@@ -17,6 +17,11 @@ namespace {
 constexpr char kTag[] = "sched-srv";
 namespace fs = std::filesystem;
 
+bool IsHandshake(const protocol::Message& message) {
+  return std::holds_alternative<protocol::Hello>(message) ||
+         std::holds_alternative<protocol::Reattach>(message);
+}
+
 /// A fresh epoch per SchedulerServer instance: pid + an in-process counter
 /// + the monotonic clock, whitened through splitmix64. Distinct across both
 /// daemon restarts (new pid / new clock) and in-process restarts in tests
@@ -380,8 +385,38 @@ void SchedulerServer::HandleContainer(ContainerChannel& channel,
   auto note_pid = [&](Pid pid) { state.pids.insert(pid); };
 
   std::optional<protocol::ReqId> req_id;
-  auto dispatched = protocol::DispatchFrame(
-      payload, req_id,
+  auto message = protocol::DecodePayload(payload, req_id);
+  if (!state.admitted && !(message.ok() && IsHandshake(*message))) {
+    CONVGPU_LOG(kWarn, kTag)
+        << "closing connection " << conn << " to " << container_id << ": "
+        << (message.ok() ? protocol::TypeName(*message)
+                         : std::string_view("undecodable frame"))
+        << " before a hello";
+    reactor_.CloseConnection(conn);
+    return;
+  }
+  if (!message.ok()) {
+    CONVGPU_LOG(kWarn, kTag) << "bad container message: "
+                             << message.status().ToString();
+    mark_handled();
+    return;
+  }
+
+  // Hello and reattach end alike: an accepted one admits the connection,
+  // grants binary when the peer asks, and hands out the ledger page. The
+  // reply itself still rides the *current* (JSON) encoding — the switch
+  // takes effect for frames after the handshake.
+  auto answer_handshake = [&](auto reply, bool wants_binary) {
+    reply.binary = reply.ok && wants_binary;
+    if (reply.ok) state.admitted = true;
+    const int page =
+        reply.ok ? ShareLedgerPage(channel, container_id, state) : -1;
+    if (page >= 0) reply.page_slot = state.slot;
+    Reply(conn, codec, reply, req_id, page);
+    NegotiateCodec(state, conn, reply.binary);
+  };
+
+  std::visit(
       protocol::Visitor{
           [&](const protocol::AllocRequest& request) {
             note_pid(request.pid);
@@ -447,40 +482,21 @@ void SchedulerServer::HandleContainer(ContainerChannel& channel,
             } else {
               reply.error = "unknown container: " + container_id;
             }
-            // Codec negotiation: binary only when both sides opt in. The
-            // reply itself still rides the *current* (JSON) encoding — the
-            // switch takes effect for frames after the handshake.
-            const bool binary =
-                reply.ok && hello.binary && options_.enable_binary;
-            reply.binary = binary;
-            const int page =
-                reply.ok ? ShareLedgerPage(channel, container_id, state) : -1;
-            if (page >= 0) reply.page_slot = state.slot;
-            Reply(conn, codec, reply, req_id, page);
-            NegotiateCodec(state, conn, binary);
+            answer_handshake(reply, hello.binary);
           },
           [&](const protocol::Reattach& reattach) {
-            auto reply = DoReattach(container_id, channel, conn, reattach);
-            const bool binary =
-                reply.ok && reattach.binary && options_.enable_binary;
-            reply.binary = binary;
-            const int page =
-                reply.ok ? ShareLedgerPage(channel, container_id, state) : -1;
-            if (page >= 0) reply.page_slot = state.slot;
-            Reply(conn, codec, reply, req_id, page);
-            NegotiateCodec(state, conn, binary);
+            answer_handshake(
+                DoReattach(container_id, channel, conn, reattach),
+                reattach.binary);
           },
           [&](const auto& other) {
             CONVGPU_LOG(kWarn, kTag)
                 << "unexpected message on container socket: "
                 << protocol::TypeName(protocol::Message(other));
           },
-      });
+      },
+      *message);
   mark_handled();
-  if (!dispatched.ok()) {
-    CONVGPU_LOG(kWarn, kTag) << "bad container message: "
-                             << dispatched.ToString();
-  }
 }
 
 protocol::ReattachReply SchedulerServer::DoReattach(

@@ -46,10 +46,6 @@ struct SchedulerServerOptions {
   /// Shared-reactor tuning (tests lower the write-queue cap to exercise
   /// backpressure kicks).
   ipc::MessageServer::Options reactor;
-  /// Accept the binary wire encoding (codec.h) when a wrapper advertises it
-  /// in hello/reattach. Off, the daemon answers every negotiation with
-  /// "JSON only" — how interop tests model a pre-binary daemon.
-  bool enable_binary = true;
 };
 
 class SchedulerServer {
@@ -89,12 +85,16 @@ class SchedulerServer {
   /// frame and erased on its disconnect — reactor thread only, so the frame
   /// path reads it without a lock.
   struct ConnectionState {
-    /// Negotiated in hello/reattach: JSON until the peer and this daemon
-    /// both opt into binary. Per connection, not per container — one
-    /// container can host an old JSON wrapper and a new binary one side by
-    /// side — and it dies with the connection (ids are never reused), so a
-    /// reconnecting peer renegotiates from a clean JSON slate.
+    /// Negotiated in hello/reattach: JSON until the peer asks for binary.
+    /// Per connection, not per container — one container can host a JSON
+    /// peer and a binary one side by side — and it dies with the connection
+    /// (ids are never reused), so a reconnecting peer renegotiates from a
+    /// clean JSON slate.
     const protocol::Codec* codec = &protocol::json_codec();
+    /// Set by this connection's first accepted hello or reattach. Before
+    /// that, any other frame closes the connection unread by the core: the
+    /// daemon acts only for a peer that said who it is.
+    bool admitted = false;
     /// Pids that spoke on this connection — lets a crashed process (socket
     /// dropped without process_exit) still be cleaned up.
     std::set<Pid> pids;
@@ -151,7 +151,7 @@ class SchedulerServer {
                       const std::string& container_id, ConnectionState& state);
   /// Encodes `message` with `codec` (the connection's negotiated encoding)
   /// and queues it on `conn`, echoing the correlation id of the request it
-  /// answers (absent for id-less old clients); a failed send (vanished
+  /// answers (absent for an id-less request); a failed send (vanished
   /// client, backpressure kick) is the client's problem, not the daemon's.
   /// `fd` (a ledger page), when given, rides the frame with SCM_RIGHTS.
   /// Safe from any thread — deferred grants fire from whichever thread

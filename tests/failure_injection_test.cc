@@ -18,6 +18,9 @@ namespace convgpu {
 namespace {
 
 using namespace convgpu::literals;
+using convgpu::testing::AnswerHandshake;
+using convgpu::testing::HelloFrame;
+using convgpu::testing::HelloOptions;
 using convgpu::testing::TempDir;
 
 class FailureInjectionTest : public ::testing::Test {
@@ -43,9 +46,19 @@ void ExpectPong(ipc::MessageClient& client) {
 
 /// Sends every kind of malformed payload down one connection to `path`,
 /// then pings on that same connection and on a fresh one: the daemon must
-/// skip each bad frame and keep both the connection and itself alive.
-void ExpectGarbageSkipped(const std::string& path) {
-  auto client = ipc::MessageClient::ConnectUnix(path);
+/// skip each bad frame and keep both the connection and itself alive. On a
+/// container socket (`container_id` set) each connection says hello first.
+void ExpectGarbageSkipped(const std::string& path,
+                          const std::string& container_id = "") {
+  auto connect = [&] {
+    auto client = ipc::MessageClient::ConnectUnix(path);
+    if (client.ok() && !container_id.empty()) {
+      EXPECT_TRUE((*client)->SendFrame(HelloFrame(container_id, 1)).ok());
+      EXPECT_TRUE((*client)->RecvFrame().ok());  // the hello reply
+    }
+    return client;
+  };
+  auto client = connect();
   ASSERT_TRUE(client.ok());
   const std::string garbage[] = {
       "this is not json{{{",          // valid frame, invalid JSON
@@ -60,7 +73,7 @@ void ExpectGarbageSkipped(const std::string& path) {
   }
   ExpectPong(**client);
 
-  auto fresh = ipc::MessageClient::ConnectUnix(path);
+  auto fresh = connect();
   ASSERT_TRUE(fresh.ok());
   ExpectPong(**fresh);
 }
@@ -78,7 +91,7 @@ TEST_F(FailureInjectionTest, GarbageFramesDoNotKillTheDaemon) {
       protocol::Call(**main, protocol::Message(reg)));
   ASSERT_TRUE(registered.ok()) << registered.status().ToString();
   ASSERT_TRUE(registered->ok) << registered->error;
-  ExpectGarbageSkipped(registered->socket_path);
+  ExpectGarbageSkipped(registered->socket_path, "c1");
   EXPECT_TRUE(server_->core().CheckInvariants().ok());
 }
 
@@ -97,7 +110,8 @@ TEST_F(FailureInjectionTest, RawByteNoiseDropsOnlyThatConnection) {
 TEST_F(FailureInjectionTest, SchedulerUnreachableMapsToDedicatedError) {
   // Wrapper pointed at a dead socket: alloc APIs fail with the middleware
   // error, not a crash or a hang.
-  auto link = SocketSchedulerLink::Connect(dir_.path() + "/nonexistent.sock");
+  auto link = SocketSchedulerLink::Connect(dir_.path() + "/nonexistent.sock",
+                                          HelloOptions("c1", 1));
   EXPECT_FALSE(link.ok());
   EXPECT_EQ(link.status().code(), StatusCode::kUnavailable);
 }
@@ -190,7 +204,8 @@ TEST_F(FailureInjectionTest, HalfOpenClientSuspendedForeverIsCancelable) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   ASSERT_TRUE(reply->ok);
 
-  auto victim = SocketSchedulerLink::Connect(reply->socket_path);
+  auto victim = SocketSchedulerLink::Connect(reply->socket_path,
+                                             HelloOptions("victim", 9));
   ASSERT_TRUE(victim.ok());
   std::thread waiter([&] {
     protocol::AllocRequest request;
@@ -238,7 +253,8 @@ TEST_F(FailureInjectionTest, DaemonDeathFailsAllOutstandingCallsWithUnavailable)
       protocol::Call(**main, protocol::Message(reg), /*req_id=*/1));
   ASSERT_TRUE(reply.ok() && reply->ok);
 
-  auto link = SocketSchedulerLink::Connect(reply->socket_path);
+  auto link = SocketSchedulerLink::Connect(reply->socket_path,
+                                          HelloOptions("victim", 100));
   ASSERT_TRUE(link.ok());
 
   constexpr int kOutstanding = 8;
@@ -297,7 +313,8 @@ TEST_F(FailureInjectionTest, ReconnectAfterRestartStartsClean) {
       protocol::Call(**main, protocol::Message(reg), /*req_id=*/1));
   ASSERT_TRUE(reply.ok() && reply->ok);
 
-  auto link = SocketSchedulerLink::Connect(reply->socket_path);
+  auto link = SocketSchedulerLink::Connect(reply->socket_path,
+                                          HelloOptions("phoenix", 1));
   ASSERT_TRUE(link.ok());
   protocol::AllocRequest request;
   request.container_id = "phoenix";
@@ -317,13 +334,15 @@ TEST_F(FailureInjectionTest, PeerDisconnectBetweenSendAndReceiveIsTyped) {
   TempDir dir;
   const std::string path = dir.path() + "/rude.sock";
   ipc::MessageServer rude;
-  ASSERT_TRUE(rude.Start(path,
-                         [&rude](ipc::ConnectionId conn, std::string_view) {
-                           rude.CloseConnection(conn);  // no reply, ever
-                         })
-                  .ok());
+  ASSERT_TRUE(
+      rude.Start(path,
+                 [&rude](ipc::ConnectionId conn, std::string_view payload) {
+                   if (AnswerHandshake(rude, conn, payload)) return;
+                   rude.CloseConnection(conn);  // no reply, ever
+                 })
+          .ok());
 
-  auto link = SocketSchedulerLink::Connect(path);
+  auto link = SocketSchedulerLink::Connect(path, HelloOptions("c1", 1));
   ASSERT_TRUE(link.ok());
   auto result = (*link)->Call(protocol::Message(protocol::Ping{}));
   ASSERT_FALSE(result.ok());

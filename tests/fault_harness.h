@@ -110,11 +110,6 @@ class FaultScheduler {
     return options_.base_dir + "/containers/" + id + "/convgpu.sock";
   }
 
-  /// Options for the *next* incarnation. Interop tests flip enable_binary
-  /// here while the daemon is down, so the reconnecting link meets a
-  /// differently-configured peer on the same sockets.
-  [[nodiscard]] SchedulerServerOptions& options() { return options_; }
-
  private:
   SchedulerServerOptions options_;
   std::unique_ptr<SchedulerServer> server_;

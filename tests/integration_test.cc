@@ -55,7 +55,10 @@ class FullStackTest : public ::testing::Test {
         ++*failures;
         return 2;
       }
-      auto link = SocketSchedulerLink::Connect(*socket);
+      SocketSchedulerLink::Options options;
+      options.container_id = *ctx.Env("CONVGPU_CONTAINER_ID");
+      options.pid = ctx.pid();
+      auto link = SocketSchedulerLink::Connect(*socket, options);
       if (!link.ok()) {
         ++*failures;
         return 3;

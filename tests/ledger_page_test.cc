@@ -37,7 +37,10 @@ using namespace convgpu::literals;
 using namespace std::chrono_literals;
 using cudasim::CudaError;
 using cudasim::DevicePtr;
+using convgpu::testing::AnswerHandshake;
 using convgpu::testing::FaultScheduler;
+using convgpu::testing::HandshakeAnswer;
+using convgpu::testing::HelloOptions;
 using convgpu::testing::TempDir;
 using convgpu::testing::WaitUntil;
 
@@ -214,57 +217,46 @@ constexpr std::uint64_t kEpoch = 0xE90C;
 
 /// Answers hello with a test-owned page on slot 0 and mem_get_info over the
 /// socket with {1, 2}; the page carries other numbers, so every answer says
-/// which path it took. Slot 0's applied count moves only when the test
-/// moves it.
+/// which path it took. Slot 0's applied count starts at 1, covering the
+/// hello, and moves only when the test moves it.
 class LedgerPageLinkTest : public ::testing::Test {
  protected:
   void StartDaemon(std::uint64_t page_epoch, bool send_descriptor = true) {
     auto page = LedgerPage::Create(page_epoch);
     ASSERT_TRUE(page.ok());
     page_ = std::move(*page);
-    ASSERT_EQ(page_->AcquireSlot(0), std::size_t{0});
+    ASSERT_EQ(page_->AcquireSlot(1), std::size_t{0});
     page_->Publish(kPageFree, kPageTotal);
+    HandshakeAnswer answer;
+    answer.epoch = kEpoch;
+    answer.limit = kPageTotal;
+    answer.page_slot = 0;
+    answer.page_fd = send_descriptor ? page_->fd() : -1;
     ASSERT_TRUE(
         server_
             .Start(path_,
-                   [this, send_descriptor](ipc::ConnectionId conn,
-                                           std::string_view payload) {
-                     const std::uint64_t frame = ++frames_;
+                   [this, answer](ipc::ConnectionId conn,
+                                  std::string_view payload) {
+                     ++frames_;
+                     if (AnswerHandshake(server_, conn, payload, answer)) {
+                       return;
+                     }
                      std::optional<protocol::ReqId> req_id;
-                     (void)protocol::DispatchFrame(
-                         payload, req_id,
-                         protocol::Visitor{
-                             [&](const protocol::Hello&) {
-                               protocol::HelloReply reply;
-                               reply.ok = true;
-                               reply.epoch = kEpoch;
-                               reply.limit = kPageTotal;
-                               reply.page_slot = 0;
-                               page_->StoreApplied(0, frame);
-                               (void)server_.SendBytes(
-                                   conn,
-                                   protocol::EncodePayload(
-                                       protocol::json_codec(), reply, req_id),
-                                   send_descriptor ? page_->fd() : -1);
-                             },
-                             [&](const protocol::MemGetInfoRequest&) {
-                               protocol::MemInfoReply reply;
-                               reply.free = 1;
-                               reply.total = 2;
-                               (void)server_.SendBytes(
-                                   conn,
-                                   protocol::EncodePayload(
-                                       protocol::json_codec(), reply, req_id));
-                             },
-                             [](const auto&) {},
-                         });
+                     auto request = protocol::DecodePayload(payload, req_id);
+                     if (!request.ok() ||
+                         !std::holds_alternative<protocol::MemGetInfoRequest>(
+                             *request)) {
+                       return;
+                     }
+                     protocol::MemInfoReply reply;
+                     reply.free = 1;
+                     reply.total = 2;
+                     (void)server_.SendBytes(
+                         conn, protocol::EncodePayload(protocol::json_codec(),
+                                                       reply, req_id));
                    })
             .ok());
-    SocketSchedulerLink::Options options;
-    options.container_id = "c1";
-    options.pid = 7;
-    options.enable_binary = false;
-    auto link = SocketSchedulerLink::Connect(path_, options);
+    auto link = SocketSchedulerLink::Connect(path_, HelloOptions("c1", 7));
     ASSERT_TRUE(link.ok()) << link.status().ToString();
     link_ = std::move(*link);
   }

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "convgpu/cluster.h"
-
 namespace convgpu {
 namespace {
 
@@ -118,59 +116,6 @@ TEST(MultiGpuTest, UnknownContainerRouting) {
   });
   EXPECT_TRUE(called);
   EXPECT_EQ(seen.code(), StatusCode::kNotFound);
-}
-
-TEST(ClusterTest, SpreadsAcrossNodesBestFitFirst) {
-  ClusterScheduler cluster(
-      {{"node-a", {{0, 5_GiB}}}, {"node-b", {{0, 5_GiB}, {1, 12_GiB}}}},
-      Base());
-  // 4 GiB: node-a's 5 GiB total is the tighter fit vs node-b's 17 GiB.
-  auto a = cluster.RegisterContainer("w1", 4_GiB);
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a->node, "node-a");
-  // Another 4 GiB no longer fits node-a: node-b takes it.
-  auto b = cluster.RegisterContainer("w2", 4_GiB);
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(b->node, "node-b");
-}
-
-TEST(ClusterTest, LifecycleRoutesToOwningNode) {
-  ClusterScheduler cluster(
-      {{"node-a", {{0, 5_GiB}}}, {"node-b", {{0, 5_GiB}}}}, Base());
-  auto placement = cluster.RegisterContainer("job", 2_GiB);
-  ASSERT_TRUE(placement.ok());
-
-  bool granted = false;
-  cluster.RequestAlloc("job", 1, 1_GiB,
-                       [&](const Status& s) { granted = s.ok(); });
-  ASSERT_TRUE(granted);
-  ASSERT_TRUE(cluster.CommitAlloc("job", 1, 0x1, 1_GiB).ok());
-  ASSERT_TRUE(cluster.FreeAlloc("job", 1, 0x1).ok());
-  ASSERT_TRUE(cluster.ProcessExit("job", 1).ok());
-  ASSERT_TRUE(cluster.ContainerClose("job").ok());
-  EXPECT_TRUE(cluster.CheckInvariants().ok());
-
-  // Re-registering after close is allowed (new container instance).
-  EXPECT_TRUE(cluster.RegisterContainer("job", 2_GiB).ok());
-}
-
-TEST(ClusterTest, OversubscribedClusterStillAdmitsViaSuspension) {
-  ClusterScheduler cluster({{"node-a", {{0, 5_GiB}}}}, Base());
-  ASSERT_TRUE(cluster.RegisterContainer("w1", 4_GiB).ok());
-  bool w1 = false;
-  cluster.RequestAlloc("w1", 1, 4_GiB, [&](const Status& s) { w1 = s.ok(); });
-  ASSERT_TRUE(w1);
-  ASSERT_TRUE(cluster.CommitAlloc("w1", 1, 0x1, 4_GiB).ok());
-
-  // No node has 4 GiB free, but the cluster still admits: the container
-  // suspends on its node until w1 leaves.
-  ASSERT_TRUE(cluster.RegisterContainer("w2", 4_GiB).ok());
-  bool w2_granted = false;
-  cluster.RequestAlloc("w2", 2, 4_GiB,
-                       [&](const Status& s) { w2_granted = s.ok(); });
-  EXPECT_FALSE(w2_granted);  // suspended
-  ASSERT_TRUE(cluster.ContainerClose("w1").ok());
-  EXPECT_TRUE(w2_granted);  // resumed by the release
 }
 
 }  // namespace

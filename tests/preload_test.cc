@@ -91,6 +91,28 @@ TEST_F(PreloadTest, PreloadWithoutSocketIsTransparent) {
   EXPECT_EQ(code, 0);
 }
 
+TEST_F(PreloadTest, SocketWithoutContainerIdIsTransparent) {
+  // CONVGPU_SOCKET set but no CONVGPU_CONTAINER_ID: the wrapper cannot say
+  // hello, so it reports that it cannot reach the scheduler and forwards
+  // everything untouched. The program then sees the bare device, and the
+  // daemon never accounts a byte for the container.
+  auto main = ipc::MessageClient::ConnectUnix(server_->main_socket_path());
+  ASSERT_TRUE(main.ok());
+  protocol::RegisterContainer request;
+  request.container_id = "nocid";
+  request.memory_limit = 512_MiB;
+  auto registered = protocol::Expect<protocol::RegisterReply>(
+      protocol::Call(**main, protocol::Message(request), /*req_id=*/1));
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+  ASSERT_TRUE(registered->ok) << registered->error;
+
+  const int code = RunChild({CONVGPU_USER_PROGRAM},
+                            {{"LD_PRELOAD", CONVGPU_PRELOAD_LIB},
+                             {"CONVGPU_SOCKET", registered->socket_path}});
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(server_->core().StatsFor("nocid")->used, 0);
+}
+
 TEST_F(PreloadTest, NvDockerSimInterposesAndLimits) {
   // The full paper flow: nvdocker-sim registers, launches the child with
   // LD_PRELOAD + CONVGPU_SOCKET, and sends the close signal afterwards.

@@ -3,10 +3,10 @@
 //
 // Three layers under test:
 //   * ReplyRouter — id issue/route/fail mechanics, including the
-//     kFailedPrecondition rejection of duplicate/unknown ids and the FIFO
-//     fallback for id-less (old-peer) replies;
-//   * SocketSchedulerLink against an adversarial server that *reorders*
-//     replies — every reply must still reach exactly its caller;
+//     kFailedPrecondition rejection of duplicate/unknown ids;
+//   * SocketSchedulerLink against scripted servers that *reorder* replies
+//     or send one without an id — every reply must still reach exactly its
+//     caller, and an id-less one nobody;
 //   * the end-to-end liveness the old serialized link could not provide: a
 //     suspended alloc_request parks only its own thread while sibling
 //     calls and the un-suspending release keep flowing on the same link.
@@ -30,6 +30,8 @@ namespace convgpu {
 namespace {
 
 using namespace convgpu::literals;
+using convgpu::testing::AnswerHandshake;
+using convgpu::testing::HelloOptions;
 using convgpu::testing::TempDir;
 
 constexpr auto kGenerousTimeout = std::chrono::seconds(30);
@@ -89,33 +91,6 @@ TEST(ReplyRouterTest, NeverIssuedReplyRejectedWithFailedPrecondition) {
   EXPECT_EQ(unknown.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(unknown.message().find("never-issued"), std::string::npos);
   EXPECT_EQ(router.pending_count(), 1u);  // the real caller is untouched
-}
-
-TEST(ReplyRouterTest, IdlessReplyGoesToOldestCall) {
-  // Old-peer compatibility: a daemon that echoes no id answers strictly in
-  // FIFO order, so the oldest outstanding call owns the reply.
-  ReplyRouter router;
-  auto first = router.Issue();
-  auto second = router.Issue();
-  protocol::MemInfoReply info;
-  info.total = 1_GiB;
-  ASSERT_TRUE(
-      router.Route(std::nullopt, Result<protocol::Message>(protocol::Message(info)))
-          .ok());
-  ASSERT_EQ(first.reply.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(second.reply.wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout);
-  auto reply = first.reply.get();
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(std::get<protocol::MemInfoReply>(*reply).total, 1_GiB);
-}
-
-TEST(ReplyRouterTest, IdlessReplyWithNothingPendingRejected) {
-  ReplyRouter router;
-  const Status status = router.Route(
-      std::nullopt, Result<protocol::Message>(protocol::Message(protocol::Pong{})));
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ReplyRouterTest, FailAllCompletesEveryPendingCall) {
@@ -207,6 +182,7 @@ class ReorderingServer {
  private:
   // Runs on the reactor thread only — no locking needed.
   void OnFrame(ipc::ConnectionId conn, std::string_view payload) {
+    if (AnswerHandshake(server_, conn, payload)) return;
     const auto req_id = protocol::PeekPayloadReqId(payload);
     auto parsed = protocol::DecodePayload(payload);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -247,7 +223,7 @@ TEST(SchedulerLinkPipeliningTest, SixteenThreadsSurviveReorderedReplies) {
   const std::string path = dir.path() + "/reorder.sock";
   ReorderingServer server(path, kThreads);
 
-  auto link = SocketSchedulerLink::Connect(path);
+  auto link = SocketSchedulerLink::Connect(path, HelloOptions("c", 1));
   ASSERT_TRUE(link.ok());
 
   std::atomic<int> mismatches{0};
@@ -319,6 +295,7 @@ class RecordingEchoServer {
   explicit RecordingEchoServer(const std::string& path) {
     const Status started = server_.Start(
         path, [this](ipc::ConnectionId conn, std::string_view payload) {
+          if (AnswerHandshake(server_, conn, payload)) return;
           const auto id = protocol::PeekPayloadReqId(payload);
           {
             MutexLock lock(mutex_);
@@ -351,13 +328,13 @@ TEST(SchedulerLinkPipeliningTest, ReconnectGetsAFreshIdSpace) {
   RecordingEchoServer server(path);
 
   {
-    auto link = SocketSchedulerLink::Connect(path);
+    auto link = SocketSchedulerLink::Connect(path, HelloOptions("c", 1));
     ASSERT_TRUE(link.ok());
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE((*link)->Call(protocol::Message(protocol::Ping{})).ok());
     }
   }
-  auto reconnected = SocketSchedulerLink::Connect(path);
+  auto reconnected = SocketSchedulerLink::Connect(path, HelloOptions("c", 1));
   ASSERT_TRUE(reconnected.ok());
   ASSERT_TRUE((*reconnected)->Call(protocol::Message(protocol::Ping{})).ok());
 
@@ -380,7 +357,7 @@ TEST(SchedulerLinkPipeliningTest, OneThreadWaitsOnEightCallsInReverseOrder) {
   TempDir dir;
   const std::string path = dir.path() + "/reverse.sock";
   ReorderingServer server(path, kCalls);
-  auto link = SocketSchedulerLink::Connect(path);
+  auto link = SocketSchedulerLink::Connect(path, HelloOptions("c", 1));
   ASSERT_TRUE(link.ok());
 
   std::vector<SchedulerLink::ReplyFuture> futures;
@@ -407,12 +384,15 @@ TEST(SchedulerLinkPipeliningTest, ReplyFutureOutlivesItsLink) {
   const std::string path = dir.path() + "/silent.sock";
   ipc::MessageServer silent;
   std::atomic<int> received{0};
-  ASSERT_TRUE(silent
-                  .Start(path, [&](ipc::ConnectionId, std::string_view) {
-                    ++received;
-                  })
-                  .ok());
-  auto link = SocketSchedulerLink::Connect(path);
+  ASSERT_TRUE(
+      silent
+          .Start(path,
+                 [&](ipc::ConnectionId conn, std::string_view payload) {
+                   if (AnswerHandshake(silent, conn, payload)) return;
+                   ++received;
+                 })
+          .ok());
+  auto link = SocketSchedulerLink::Connect(path, HelloOptions("c", 1));
   ASSERT_TRUE(link.ok());
 
   SchedulerLink::ReplyFuture late =
@@ -440,7 +420,7 @@ TEST(SchedulerLinkPipeliningTest, DroppedFutureDoesNotWedgeTheLink) {
   TempDir dir;
   const std::string path = dir.path() + "/echo.sock";
   RecordingEchoServer server(path);
-  auto link = SocketSchedulerLink::Connect(path);
+  auto link = SocketSchedulerLink::Connect(path, HelloOptions("c", 1));
   ASSERT_TRUE(link.ok());
 
   { auto dropped = (*link)->AsyncCall(protocol::Message(protocol::Ping{})); }
@@ -451,32 +431,70 @@ TEST(SchedulerLinkPipeliningTest, DroppedFutureDoesNotWedgeTheLink) {
   EXPECT_EQ(server.seen(), (std::vector<protocol::ReqId>{1, 2}));
 }
 
-TEST(SchedulerLinkPipeliningTest, BlockingCallRejectsMismatchedEcho) {
-  // protocol::Call over a raw client refuses a reply correlated to some
-  // *other* request instead of silently consuming it.
+TEST(SchedulerLinkPipeliningTest, IdlessReplyIsDroppedAndTheCallerGetsItsOwn) {
+  // A reply without an id belongs to no caller: the link drops it instead
+  // of handing it to the oldest call, and the caller gets its own reply.
   TempDir dir;
-  const std::string path = dir.path() + "/liar.sock";
+  const std::string path = dir.path() + "/idless.sock";
   ipc::MessageServer server;
   ASSERT_TRUE(
       server
           .Start(path,
                  [&server](ipc::ConnectionId conn, std::string_view payload) {
-                   const auto id = protocol::PeekPayloadReqId(payload);
+                   if (AnswerHandshake(server, conn, payload)) return;
+                   protocol::MemInfoReply stray;
+                   stray.total = 1_GiB;
+                   (void)server.SendBytes(
+                       conn, protocol::EncodePayload(protocol::json_codec(),
+                                                     protocol::Message(stray)));
+                   protocol::MemInfoReply own;
+                   own.total = 2_GiB;
                    (void)server.SendBytes(
                        conn, protocol::EncodePayload(
-                                 protocol::json_codec(),
-                                 protocol::Message(protocol::Pong{}),
-                                 id ? std::optional<protocol::ReqId>(*id + 1)
-                                    : std::nullopt));
+                                 protocol::json_codec(), protocol::Message(own),
+                                 protocol::PeekPayloadReqId(payload)));
                  })
           .ok());
-  auto client = ipc::MessageClient::ConnectUnix(path);
-  ASSERT_TRUE(client.ok());
-  auto reply = protocol::Call(**client, protocol::Message(protocol::Ping{}),
-                              /*req_id=*/7);
-  ASSERT_FALSE(reply.ok());
-  EXPECT_EQ(reply.status().code(), StatusCode::kFailedPrecondition);
+  auto link = SocketSchedulerLink::Connect(path, HelloOptions("c", 1));
+  ASSERT_TRUE(link.ok());
+  auto reply = protocol::Expect<protocol::MemInfoReply>(
+      (*link)->Call(protocol::Message(NoncedProbe(1))));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->total, 2_GiB);
+  EXPECT_EQ((*link)->outstanding_calls(), 0u);
+  link->reset();
   server.Stop();
+}
+
+TEST(SchedulerLinkPipeliningTest, BlockingCallRejectsMismatchedEcho) {
+  // protocol::Call over a raw client refuses a reply correlated to some
+  // *other* request, or to none, instead of silently consuming it.
+  TempDir dir;
+  for (const bool echo_an_id : {true, false}) {
+    const std::string path =
+        dir.path() + (echo_an_id ? "/liar.sock" : "/mute.sock");
+    ipc::MessageServer server;
+    ASSERT_TRUE(
+        server
+            .Start(path,
+                   [&](ipc::ConnectionId conn, std::string_view payload) {
+                     auto id = protocol::PeekPayloadReqId(payload);
+                     if (id) ++*id;  // some other request's id
+                     if (!echo_an_id) id.reset();
+                     (void)server.SendBytes(
+                         conn, protocol::EncodePayload(
+                                   protocol::json_codec(),
+                                   protocol::Message(protocol::Pong{}), id));
+                   })
+            .ok());
+    auto client = ipc::MessageClient::ConnectUnix(path);
+    ASSERT_TRUE(client.ok());
+    auto reply = protocol::Call(**client, protocol::Message(protocol::Ping{}),
+                                /*req_id=*/7);
+    ASSERT_FALSE(reply.ok()) << "echo_an_id=" << echo_an_id;
+    EXPECT_EQ(reply.status().code(), StatusCode::kFailedPrecondition);
+    server.Stop();
+  }
 }
 
 // --- Suspended alloc no longer blocks the link ------------------------------
@@ -519,7 +537,8 @@ TEST_F(PipelinedLinkFixture, SuspendedAllocDoesNotBlockSiblingCallsOrFrees) {
   ASSERT_TRUE(server_->core().CommitAlloc("hog", 1, 0xB0B, 1_GiB).ok());
 
   const std::string victim_socket = Register("victim", 512_MiB);
-  auto link = SocketSchedulerLink::Connect(victim_socket);
+  auto link =
+      SocketSchedulerLink::Connect(victim_socket, HelloOptions("victim", 7));
   ASSERT_TRUE(link.ok());
 
   // Thread A: the alloc that parks daemon-side.
@@ -545,6 +564,11 @@ TEST_F(PipelinedLinkFixture, SuspendedAllocDoesNotBlockSiblingCallsOrFrees) {
   auto probe_reply = protocol::Expect<protocol::MemInfoReply>(probe_future.get());
   ASSERT_TRUE(probe_reply.ok());
   EXPECT_EQ(probe_reply->total, 512_MiB);
+  // The ledger page may have answered that probe without a frame; a ping
+  // always crosses the socket.
+  auto ping_future = (*link)->AsyncCall(protocol::Message(protocol::Ping{}));
+  ASSERT_EQ(ping_future.wait_for(kGenerousTimeout), std::future_status::ready);
+  EXPECT_TRUE(protocol::Expect<protocol::Pong>(ping_future.get()).ok());
 
   // The parked alloc is still parked — the probe didn't steal its reply.
   EXPECT_EQ(parked_future.wait_for(std::chrono::milliseconds(50)),
@@ -574,7 +598,8 @@ TEST_F(PipelinedLinkFixture, ManyOutstandingAllocsResolveIndependently) {
   ASSERT_TRUE(server_->core().CommitAlloc("hog", 1, 0xB0B, 1_GiB).ok());
 
   const std::string victim_socket = Register("victim", 1_GiB);
-  auto link = SocketSchedulerLink::Connect(victim_socket);
+  auto link = SocketSchedulerLink::Connect(victim_socket,
+                                          HelloOptions("victim", 100));
   ASSERT_TRUE(link.ok());
 
   constexpr int kParked = 4;

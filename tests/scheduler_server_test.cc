@@ -19,6 +19,8 @@ namespace convgpu {
 namespace {
 
 using namespace convgpu::literals;
+using convgpu::testing::HelloFrame;
+using convgpu::testing::HelloOptions;
 using convgpu::testing::TempDir;
 
 constexpr Bytes kOverhead = 66_MiB;
@@ -64,7 +66,8 @@ TEST_F(SchedulerServerTest, RegisterCreatesContainerSocket) {
   EXPECT_FALSE(reply.socket_dir.empty());
   EXPECT_FALSE(reply.socket_path.empty());
   // The per-container socket is connectable.
-  auto link = SocketSchedulerLink::Connect(reply.socket_path);
+  auto link =
+      SocketSchedulerLink::Connect(reply.socket_path, HelloOptions("c1", 1));
   EXPECT_TRUE(link.ok());
   EXPECT_EQ(server_->container_socket_path("c1"), reply.socket_path);
 }
@@ -79,7 +82,8 @@ TEST_F(SchedulerServerTest, RegisterDuplicateFails) {
 TEST_F(SchedulerServerTest, AllocLifecycleOverSocket) {
   const auto reply = Register("c1", 512_MiB);
   ASSERT_TRUE(reply.ok);
-  auto link = SocketSchedulerLink::Connect(reply.socket_path);
+  auto link =
+      SocketSchedulerLink::Connect(reply.socket_path, HelloOptions("c1", 42));
   ASSERT_TRUE(link.ok());
 
   protocol::AllocRequest request;
@@ -121,7 +125,8 @@ TEST_F(SchedulerServerTest, AllocLifecycleOverSocket) {
 TEST_F(SchedulerServerTest, RejectionDeliveredWithError) {
   const auto reply = Register("c1", 128_MiB);
   ASSERT_TRUE(reply.ok);
-  auto link = SocketSchedulerLink::Connect(reply.socket_path);
+  auto link =
+      SocketSchedulerLink::Connect(reply.socket_path, HelloOptions("c1", 1));
   ASSERT_TRUE(link.ok());
   protocol::AllocRequest request;
   request.container_id = "c1";
@@ -138,7 +143,8 @@ TEST_F(SchedulerServerTest, RejectionDeliveredWithError) {
 TEST_F(SchedulerServerTest, SuspendedRequestBlocksUntilClose) {
   ASSERT_TRUE(Register("hog", 4_GiB).ok);
   auto hog_link =
-      SocketSchedulerLink::Connect(server_->container_socket_path("hog"));
+      SocketSchedulerLink::Connect(server_->container_socket_path("hog"),
+                                   HelloOptions("hog", 1));
   ASSERT_TRUE(hog_link.ok());
   protocol::AllocRequest hog_request;
   hog_request.container_id = "hog";
@@ -156,7 +162,8 @@ TEST_F(SchedulerServerTest, SuspendedRequestBlocksUntilClose) {
 
   ASSERT_TRUE(Register("late", 2_GiB).ok);
   auto late_link =
-      SocketSchedulerLink::Connect(server_->container_socket_path("late"));
+      SocketSchedulerLink::Connect(server_->container_socket_path("late"),
+                                   HelloOptions("late", 2));
   ASSERT_TRUE(late_link.ok());
 
   // The blocking Call happens on a separate thread — this is exactly how a
@@ -186,7 +193,8 @@ TEST_F(SchedulerServerTest, SuspendedRequestBlocksUntilClose) {
 TEST_F(SchedulerServerTest, CrashedClientReclaimedOnDisconnect) {
   ASSERT_TRUE(Register("c1", 512_MiB).ok);
   {
-    auto link = SocketSchedulerLink::Connect(server_->container_socket_path("c1"));
+    auto link = SocketSchedulerLink::Connect(
+        server_->container_socket_path("c1"), HelloOptions("c1", 77));
     ASSERT_TRUE(link.ok());
     protocol::AllocRequest request;
     request.container_id = "c1";
@@ -207,6 +215,33 @@ TEST_F(SchedulerServerTest, CrashedClientReclaimedOnDisconnect) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_EQ(server_->core().StatsFor("c1")->used, 0);
+}
+
+TEST_F(SchedulerServerTest, FrameBeforeHelloClosesTheConnection) {
+  // A peer that never said who it is is not served: its first frame closes
+  // the connection before the core sees it, so no grant and no ledger
+  // change.
+  ASSERT_TRUE(Register("c1", 512_MiB).ok);
+  auto client =
+      ipc::MessageClient::ConnectUnix(server_->container_socket_path("c1"));
+  ASSERT_TRUE(client.ok());
+  protocol::AllocRequest request;
+  request.container_id = "c1";
+  request.pid = 5;
+  request.size = 100_MiB;
+  request.api = "cudaMalloc";
+  ASSERT_TRUE((*client)
+                  ->SendFrame(protocol::EncodePayload(
+                      protocol::json_codec(), protocol::Message(request),
+                      /*req_id=*/1))
+                  .ok());
+  auto reply = (*client)->RecvFrame(std::chrono::seconds(10));
+  ASSERT_FALSE(reply.ok()) << "the daemon answered a peer with no hello";
+  EXPECT_NE(reply.status().code(), StatusCode::kDeadlineExceeded)
+      << "the connection was not closed";
+  EXPECT_EQ(server_->core().StatsFor("c1")->used, 0);
+  EXPECT_EQ(server_->core().pending_request_count(), 0u);
+  EXPECT_TRUE(server_->core().CheckInvariants().ok());
 }
 
 TEST_F(SchedulerServerTest, StatsQueryOverSocket) {
@@ -252,6 +287,7 @@ TEST(SchedulerServerBackpressureTest, StatsSurfaceKickedConnections) {
   // point our writes start failing (EPIPE, not SIGPIPE).
   auto fd = ipc::UnixConnect(server.container_socket_path("c1"));
   ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(ipc::WriteFrame(fd->get(), HelloFrame("c1", 1)).ok());
   protocol::MemGetInfoRequest info;
   info.container_id = "c1";
   info.pid = 1;

@@ -18,6 +18,7 @@ namespace convgpu {
 namespace {
 
 using namespace convgpu::literals;
+using convgpu::testing::HelloOptions;
 using convgpu::testing::TempDir;
 
 constexpr int kContainers = 64;
@@ -110,13 +111,13 @@ TEST_F(SharedReactorTest, SixtyFourChannelsOneReactorThread) {
   for (int c = 0; c < kContainers; ++c) {
     clients.emplace_back([&, c] {
       const std::string id = "c" + std::to_string(c);
+      const Pid pid = 1000 + c;
       auto link = SocketSchedulerLink::Connect(
-          server_->container_socket_path(id));
+          server_->container_socket_path(id), HelloOptions(id, pid));
       if (!link.ok()) {
         ++failures;
         return;
       }
-      const Pid pid = 1000 + c;
       for (int round = 0; round < 5; ++round) {
         protocol::AllocRequest request;
         request.container_id = id;
@@ -197,7 +198,8 @@ TEST_F(SharedReactorTest, DeferredGrantsFireAcrossManySuspendedChannels) {
 
   ASSERT_TRUE(Register("hog", 1_GiB).ok);
   auto hog_link =
-      SocketSchedulerLink::Connect(server_->container_socket_path("hog"));
+      SocketSchedulerLink::Connect(server_->container_socket_path("hog"),
+                                   HelloOptions("hog", 1));
   ASSERT_TRUE(hog_link.ok());
   {
     protocol::AllocRequest request;
@@ -220,8 +222,9 @@ TEST_F(SharedReactorTest, DeferredGrantsFireAcrossManySuspendedChannels) {
   std::vector<std::unique_ptr<SocketSchedulerLink>> links;
   for (int c = 0; c < kWaiters; ++c) {
     ASSERT_TRUE(Register("w" + std::to_string(c), 16_MiB).ok);
-    auto link = SocketSchedulerLink::Connect(
-        server_->container_socket_path("w" + std::to_string(c)));
+    const std::string id = "w" + std::to_string(c);
+    auto link = SocketSchedulerLink::Connect(server_->container_socket_path(id),
+                                             HelloOptions(id, 100 + c));
     ASSERT_TRUE(link.ok());
     links.push_back(std::move(*link));
   }

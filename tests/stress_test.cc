@@ -87,6 +87,7 @@ TEST(SchedulerStressTest, ParallelContainersStayConsistent) {
 // handler must reclaim). Small capacity forces suspension/redistribution
 // under the churn. Must stay clean under TSan with the auditor on.
 TEST(SchedulerServerHammerTest, SocketChurnWithMidAllocationDisconnects) {
+  using convgpu::testing::HelloOptions;
   using convgpu::testing::TempDir;
   TempDir dir;
   SchedulerServerOptions options;
@@ -129,7 +130,8 @@ TEST(SchedulerServerHammerTest, SocketChurnWithMidAllocationDisconnects) {
         // socket without waiting for the reply — possibly while the
         // request sits suspended in the scheduler's queue.
         auto victim = ipc::MessageClient::ConnectUnix(socket_path);
-        if (victim.ok()) {
+        const std::string hello = convgpu::testing::HelloFrame(id, pid);
+        if (victim.ok() && (*victim)->SendFrame(hello).ok()) {
           protocol::AllocRequest request;
           request.container_id = id;
           request.pid = pid;
@@ -140,7 +142,8 @@ TEST(SchedulerServerHammerTest, SocketChurnWithMidAllocationDisconnects) {
         // `victim` drops here; the disconnect handler must cancel the
         // request and reclaim the pid.
       } else {
-        auto link = SocketSchedulerLink::Connect(socket_path);
+        auto link =
+            SocketSchedulerLink::Connect(socket_path, HelloOptions(id, pid));
         if (!link.ok()) {
           ++errors;
           continue;
@@ -209,6 +212,7 @@ TEST(SchedulerServerHammerTest, SocketChurnWithMidAllocationDisconnects) {
 // enough that concurrent allocations overrun them: granted=false rejections
 // are expected outcomes, misrouted or lost replies are not.
 TEST(SchedulerServerHammerTest, PipelinedLinksAcross64Containers) {
+  using convgpu::testing::HelloOptions;
   using convgpu::testing::TempDir;
   TempDir dir;
   SchedulerServerOptions options;
@@ -235,7 +239,8 @@ TEST(SchedulerServerHammerTest, PipelinedLinksAcross64Containers) {
     auto reply = protocol::Expect<protocol::RegisterReply>(protocol::Call(
         **main_client, protocol::Message(reg), next_req_id++));
     ASSERT_TRUE(reply.ok() && reply->ok);
-    auto link = SocketSchedulerLink::Connect(reply->socket_path);
+    auto link = SocketSchedulerLink::Connect(
+        reply->socket_path, HelloOptions(reg.container_id, 1000 * (c + 1)));
     ASSERT_TRUE(link.ok());
     links.push_back(std::move(*link));
   }

@@ -1,9 +1,9 @@
-// Wire-encoding interop: every pairing of binary-capable and JSON-only
-// peers must converge on an encoding both sides speak, with zero
-// configuration. A new wrapper against an old (pre-binary) daemon — and an
-// old wrapper against a new daemon — negotiate down to JSON, byte-for-byte
-// the historical wire format; two new peers upgrade to binary; and a
-// reconnect onto a *differently configured* daemon re-negotiates from
+// Wire-encoding interop: a link and a daemon must converge on an encoding
+// both sides speak, with zero configuration. The link always asks for
+// binary and the daemon grants it; a daemon whose reply does not grant it
+// (a scripted one here) keeps the link on JSON, byte-for-byte the paper's
+// wire format, and so does a raw JSON peer whose hello does not ask. A
+// reconnect onto a daemon that answers differently re-negotiates from
 // scratch without dropping the in-flight calls it replays.
 #include <gtest/gtest.h>
 
@@ -23,9 +23,53 @@ namespace {
 
 using namespace convgpu::literals;
 using namespace std::chrono_literals;
+using convgpu::testing::AnswerHandshake;
 using convgpu::testing::FaultScheduler;
+using convgpu::testing::HandshakeAnswer;
+using convgpu::testing::HelloFrame;
 using convgpu::testing::TempDir;
 using convgpu::testing::WaitUntil;
+
+/// A scripted daemon on one socket: accepts every hello and reattach,
+/// granting binary only when `binary`; grants every alloc_request and
+/// answers mem_get_info with a 1 GiB total, each reply in the request's own
+/// encoding.
+class ScriptedDaemon {
+ public:
+  ScriptedDaemon(const std::string& path, bool binary) {
+    HandshakeAnswer answer;
+    answer.binary = binary;
+    answer.limit = 1_GiB;
+    const Status started = server_.Start(
+        path, [this, answer](ipc::ConnectionId conn, std::string_view payload) {
+          if (AnswerHandshake(server_, conn, payload, answer)) return;
+          std::optional<protocol::ReqId> req_id;
+          auto request = protocol::DecodePayload(payload, req_id);
+          if (!request.ok()) return;
+          protocol::Message reply;
+          if (std::holds_alternative<protocol::MemGetInfoRequest>(*request)) {
+            protocol::MemInfoReply info;
+            info.total = 1_GiB;
+            reply = info;
+          } else if (std::holds_alternative<protocol::AllocRequest>(
+                         *request)) {
+            protocol::AllocReply granted;
+            granted.granted = true;
+            reply = granted;
+          } else {
+            return;  // notifications
+          }
+          (void)server_.SendBytes(
+              conn, protocol::EncodePayload(protocol::DetectCodec(payload),
+                                            reply, req_id));
+        });
+    EXPECT_TRUE(started.ok()) << started.ToString();
+  }
+  ~ScriptedDaemon() { server_.Stop(); }
+
+ private:
+  ipc::MessageServer server_;
+};
 
 class WireInteropTest : public ::testing::Test {
  protected:
@@ -98,50 +142,28 @@ TEST_F(WireInteropTest, TwoBinaryCapablePeersUpgrade) {
 }
 
 TEST_F(WireInteropTest, BinaryLinkAgainstJsonOnlyDaemonFallsBack) {
-  // The daemon models a pre-binary build: it parses the hello fine (the
-  // advertisement is just an extra key) but never accepts the upgrade.
-  fault_->options().enable_binary = false;
-  ASSERT_TRUE(fault_->Restart().ok());
-  ASSERT_TRUE(Register("c1", 1_GiB).ok());
-  auto link = SocketSchedulerLink::Connect(
-      fault_->container_socket_path("c1"), FastOptions("c1", 7));
-  ASSERT_TRUE(link.ok());
-  EXPECT_EQ((*link)->wire_codec_name(), "json");
-  ExpectAllocWorks(**link, "c1", 7);
-}
-
-TEST_F(WireInteropTest, JsonOnlyLinkAgainstBinaryDaemonStaysJson) {
-  // The link models an old wrapper: it never advertises, so the daemon —
-  // perfectly willing to speak binary — keeps answering in JSON.
-  ASSERT_TRUE(Register("c1", 1_GiB).ok());
-  auto options = FastOptions("c1", 7);
-  options.enable_binary = false;
-  auto link = SocketSchedulerLink::Connect(
-      fault_->container_socket_path("c1"), std::move(options));
-  ASSERT_TRUE(link.ok());
-  EXPECT_EQ((*link)->wire_codec_name(), "json");
-  ExpectAllocWorks(**link, "c1", 7);
-}
-
-TEST_F(WireInteropTest, LegacyConnectNeverNegotiates) {
-  // The pre-handshake connect path (no container_id, no hello) is the
-  // oldest peer of all: pure JSON, id-less-capable, untouched.
-  ASSERT_TRUE(Register("c1", 1_GiB).ok());
-  auto link =
-      SocketSchedulerLink::Connect(fault_->container_socket_path("c1"));
+  // The daemon parses the hello fine (the advertisement is just an extra
+  // key) but its reply does not grant the upgrade.
+  const std::string path = dir_.path() + "/scripted.sock";
+  ScriptedDaemon daemon(path, /*binary=*/false);
+  auto link = SocketSchedulerLink::Connect(path, FastOptions("c1", 7));
   ASSERT_TRUE(link.ok());
   EXPECT_EQ((*link)->wire_codec_name(), "json");
   ExpectAllocWorks(**link, "c1", 7);
 }
 
 TEST_F(WireInteropTest, RawJsonPeerSeesOnlyJsonBytes) {
-  // An old wrapper speaks raw id-less JSON frames with no handshake at all.
-  // Every reply must come back as JSON — the daemon may only switch a
-  // connection that explicitly negotiated.
+  // A raw peer says an id-less JSON hello that does not ask for binary,
+  // then speaks id-less JSON frames. Every reply must come back as JSON —
+  // the daemon may only switch a connection that asked.
   ASSERT_TRUE(Register("c1", 1_GiB).ok());
   auto client =
       ipc::MessageClient::ConnectUnix(fault_->container_socket_path("c1"));
   ASSERT_TRUE(client.ok());
+  ASSERT_TRUE((*client)->SendFrame(HelloFrame("c1", 3)).ok());
+  auto hello_reply = (*client)->RecvFrame();
+  ASSERT_TRUE(hello_reply.ok());
+  EXPECT_EQ(hello_reply->front(), '{') << *hello_reply;
 
   protocol::MemGetInfoRequest info;
   info.container_id = "c1";
@@ -204,16 +226,17 @@ TEST_F(WireInteropTest, HandshakeRepliesRideJsonThenTrafficSwitches) {
 }
 
 TEST_F(WireInteropTest, ReconnectRenegotiatesOntoJsonOnlyDaemon) {
-  // A binary connection dies; the daemon that comes back is JSON-only. The
-  // reattach must downgrade the link — and the idempotent call replayed
-  // across the outage must still get its answer, on the new encoding.
-  ASSERT_TRUE(Register("c1", 1_GiB).ok());
-  auto link = SocketSchedulerLink::Connect(
-      fault_->container_socket_path("c1"), FastOptions("c1", 7));
+  // A binary connection dies; the daemon that comes back does not grant
+  // binary. The reattach must downgrade the link — and the idempotent call
+  // replayed across the outage must still get its answer, on the new
+  // encoding.
+  const std::string path = dir_.path() + "/scripted.sock";
+  auto daemon = std::make_unique<ScriptedDaemon>(path, /*binary=*/true);
+  auto link = SocketSchedulerLink::Connect(path, FastOptions("c1", 7));
   ASSERT_TRUE(link.ok());
   ASSERT_EQ((*link)->wire_codec_name(), "binary");
 
-  fault_->Down();
+  daemon.reset();
   // In flight while the daemon is dark: replayable, so its future survives
   // the outage and resolves on the downgraded connection.
   protocol::MemGetInfoRequest info;
@@ -221,8 +244,7 @@ TEST_F(WireInteropTest, ReconnectRenegotiatesOntoJsonOnlyDaemon) {
   info.pid = 7;
   auto pending = (*link)->AsyncCall(protocol::Message(info));
 
-  fault_->options().enable_binary = false;
-  ASSERT_TRUE(fault_->Up().ok());
+  daemon = std::make_unique<ScriptedDaemon>(path, /*binary=*/false);
 
   auto reply = protocol::Expect<protocol::MemInfoReply>(pending.get());
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
@@ -230,24 +252,22 @@ TEST_F(WireInteropTest, ReconnectRenegotiatesOntoJsonOnlyDaemon) {
   EXPECT_EQ((*link)->wire_codec_name(), "json");
   EXPECT_GE((*link)->reconnect_count(), 1u);
   ExpectAllocWorks(**link, "c1", 7);
+  link->reset();
 }
 
 TEST_F(WireInteropTest, ReconnectUpgradesOntoBinaryCapableDaemon) {
-  // The reverse migration: a wrapper that met a JSON-only daemon keeps
-  // advertising on every reattach, so replacing the daemon with a
-  // binary-capable build upgrades the wire without touching the wrapper.
-  fault_->options().enable_binary = false;
-  ASSERT_TRUE(fault_->Restart().ok());
-  ASSERT_TRUE(Register("c1", 1_GiB).ok());
-  auto link = SocketSchedulerLink::Connect(
-      fault_->container_socket_path("c1"), FastOptions("c1", 7));
+  // The reverse migration: a link that met a daemon not granting binary
+  // keeps advertising on every reattach, so the daemon that replaces it
+  // can upgrade the wire without touching the wrapper.
+  const std::string path = dir_.path() + "/scripted.sock";
+  auto daemon = std::make_unique<ScriptedDaemon>(path, /*binary=*/false);
+  auto link = SocketSchedulerLink::Connect(path, FastOptions("c1", 7));
   ASSERT_TRUE(link.ok());
   ASSERT_EQ((*link)->wire_codec_name(), "json");
 
   const std::uint64_t reconnects_before = (*link)->reconnect_count();
-  fault_->Down();
-  fault_->options().enable_binary = true;
-  ASSERT_TRUE(fault_->Up().ok());
+  daemon.reset();
+  daemon = std::make_unique<ScriptedDaemon>(path, /*binary=*/true);
 
   // connected() alone is not enough: a fast Down/Up can finish before the
   // link's reader even notices the EOF, so wait for the reattach itself.
@@ -257,6 +277,7 @@ TEST_F(WireInteropTest, ReconnectUpgradesOntoBinaryCapableDaemon) {
   }));
   EXPECT_EQ((*link)->wire_codec_name(), "binary");
   ExpectAllocWorks(**link, "c1", 7);
+  link->reset();
 }
 
 }  // namespace

@@ -137,6 +137,40 @@ asan_impl() {
       ctest --test-dir "${ROOT}/build-asan" --output-on-failure -j "${JOBS}"
 }
 
+# The filtered legs below rebuild the tsan/asan trees and run one subset of
+# the suite there. Each first checks that its filter still selects a test:
+# after a test is deleted or renamed, a filter that matches nothing would
+# otherwise pass having run nothing.
+require_tests() {  # build-dir filter
+  local count
+  count=$(ctest --test-dir "$1" -N -R "$2" | sed -n 's/^Total Tests: //p')
+  if [ "${count:-0}" -eq 0 ]; then
+    echo "FAIL: filter '$2' selects no test in $1"
+    return 1
+  fi
+}
+
+tsan_subset() {  # filter
+  cmake -B "${ROOT}/build-tsan" -S "${ROOT}" \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCONVGPU_SANITIZE=thread &&
+    cmake --build "${ROOT}/build-tsan" -j "${JOBS}" &&
+    require_tests "${ROOT}/build-tsan" "$1" &&
+    TSAN_OPTIONS="suppressions=${ROOT}/tools/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
+      ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
+            -R "$1"
+}
+
+asan_subset() {  # filter
+  cmake -B "${ROOT}/build-asan" -S "${ROOT}" \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCONVGPU_SANITIZE=address,undefined &&
+    cmake --build "${ROOT}/build-asan" -j "${JOBS}" &&
+    require_tests "${ROOT}/build-asan" "$1" &&
+    ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
+      ctest --test-dir "${ROOT}/build-asan" --output-on-failure -j "${JOBS}" \
+            -R "$1"
+}
+
 # MessageServer/MessageClient cover the reactor and the buffered client the
 # link's callers read through; SchedulerServerStart the daemon's readiness;
 # LedgerPage the page's seqlock, read by callers while the daemon writes it.
@@ -144,27 +178,8 @@ PIPELINING_FILTER='ReplyRouter|SchedulerLinkPipelining|PipelinedLink|ProtocolTes
 
 leg_pipelining() {
   note "leg: pipelining concurrency suites under TSan + ASan"
-  run_leg pipelining-tsan pipelining_tsan_impl
-  run_leg pipelining-asan pipelining_asan_impl
-}
-
-pipelining_tsan_impl() {
-  cmake -B "${ROOT}/build-tsan" -S "${ROOT}" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCONVGPU_SANITIZE=thread &&
-    cmake --build "${ROOT}/build-tsan" -j "${JOBS}" &&
-    TSAN_OPTIONS="suppressions=${ROOT}/tools/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-      ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
-            -R "${PIPELINING_FILTER}"
-}
-
-pipelining_asan_impl() {
-  cmake -B "${ROOT}/build-asan" -S "${ROOT}" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCONVGPU_SANITIZE=address,undefined &&
-    cmake --build "${ROOT}/build-asan" -j "${JOBS}" &&
-    ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-      ctest --test-dir "${ROOT}/build-asan" --output-on-failure -j "${JOBS}" \
-            -R "${PIPELINING_FILTER}"
+  run_leg pipelining-tsan tsan_subset "${PIPELINING_FILTER}"
+  run_leg pipelining-asan asan_subset "${PIPELINING_FILTER}"
 }
 
 # Also matches SchedulerLinkPipeliningTest.ReconnectGetsAFreshIdSpace, which
@@ -174,57 +189,19 @@ RECONNECT_FILTER='Reconnect|RestoreProcess|LedgerPage'
 
 leg_reconnect() {
   note "leg: daemon-restart suites under TSan + ASan"
-  run_leg reconnect-tsan reconnect_tsan_impl
-  run_leg reconnect-asan reconnect_asan_impl
+  run_leg reconnect-tsan tsan_subset "${RECONNECT_FILTER}"
+  run_leg reconnect-asan asan_subset "${RECONNECT_FILTER}"
 }
 
-reconnect_tsan_impl() {
-  cmake -B "${ROOT}/build-tsan" -S "${ROOT}" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCONVGPU_SANITIZE=thread &&
-    cmake --build "${ROOT}/build-tsan" -j "${JOBS}" &&
-    TSAN_OPTIONS="suppressions=${ROOT}/tools/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-      ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
-            -R "${RECONNECT_FILTER}"
-}
-
-reconnect_asan_impl() {
-  cmake -B "${ROOT}/build-asan" -S "${ROOT}" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCONVGPU_SANITIZE=address,undefined &&
-    cmake --build "${ROOT}/build-asan" -j "${JOBS}" &&
-    ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-      ctest --test-dir "${ROOT}/build-asan" --output-on-failure -j "${JOBS}" \
-            -R "${RECONNECT_FILTER}"
-}
-
-# CodecTest/CodecPropertyTest (codec.cc), WireInterop (negotiation and
-# old-peer fallback), plus the protocol round-trip suites both encodings
-# must agree with.
+# CodecTest/CodecPropertyTest (codec.cc), WireInterop (negotiation, the
+# JSON fallback and renegotiation on reconnect), plus the protocol
+# round-trip suites both encodings must agree with.
 CODEC_FILTER='Codec|WireInterop|Protocol'
 
 leg_codec() {
   note "leg: wire-encoding suites under TSan + ASan"
-  run_leg codec-tsan codec_tsan_impl
-  run_leg codec-asan codec_asan_impl
-}
-
-codec_tsan_impl() {
-  cmake -B "${ROOT}/build-tsan" -S "${ROOT}" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCONVGPU_SANITIZE=thread &&
-    cmake --build "${ROOT}/build-tsan" -j "${JOBS}" &&
-    TSAN_OPTIONS="suppressions=${ROOT}/tools/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-      ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
-            -R "${CODEC_FILTER}"
-}
-
-codec_asan_impl() {
-  cmake -B "${ROOT}/build-asan" -S "${ROOT}" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCONVGPU_SANITIZE=address,undefined &&
-    cmake --build "${ROOT}/build-asan" -j "${JOBS}" &&
-    ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-      ctest --test-dir "${ROOT}/build-asan" --output-on-failure -j "${JOBS}" \
-            -R "${CODEC_FILTER}"
+  run_leg codec-tsan tsan_subset "${CODEC_FILTER}"
+  run_leg codec-asan asan_subset "${CODEC_FILTER}"
 }
 
 leg_format() {
