@@ -20,10 +20,10 @@ int main() {
               "finish, 0MiB (s)", "unaccounted GPU (MiB)");
 
   for (int n = 8; n <= 38; n += 10) {
-    CloudSimConfig with;
+    MultiGpuSimConfig with;
     with.num_containers = n;
     with.seed = 500 + static_cast<std::uint64_t>(n);
-    CloudSimConfig without = with;
+    MultiGpuSimConfig without = with;
     without.first_alloc_overhead = 0;
 
     auto with_result = RunCloudSimulationAveraged(with, 4);

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   for (int n = 4; n <= 38; n += 2) {
     std::printf("%-6d", n);
     for (const auto& policy : policies) {
-      CloudSimConfig config;
+      MultiGpuSimConfig config;
       config.num_containers = n;
       config.policy = policy;
       config.seed = 1000 + static_cast<std::uint64_t>(n);  // same trace for

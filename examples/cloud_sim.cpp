@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace convgpu;
   using namespace convgpu::workload;
 
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   enum class Output { kTable, kCsv, kJson } output = Output::kTable;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   if (config.policy.empty()) config.policy = "BF";
   if (config.seed == 1 && positional < 3) config.seed = 42;
 
-  auto result = RunCloudSimulation(config);
+  auto result = RunMultiGpuSimulation(config);
   if (!result.ok()) {
     std::fprintf(stderr, "simulation failed: %s\n",
                  result.status().ToString().c_str());
@@ -61,15 +61,15 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(config.seed));
   std::printf("%-8s %-8s %10s %12s %12s %12s %12s\n", "name", "type", "gpu-mem",
               "submitted", "started", "finished", "suspended");
-  for (std::size_t i = 0; i < result->containers.size(); ++i) {
-    const auto& c = result->containers[i];
+  for (const auto& c : result->containers) {
     if (c.failed) {
-      std::printf("sim%-5zu %-8s FAILED: %s\n", i, c.type_name.c_str(),
+      std::printf("%-8s %-8s FAILED: %s\n", c.id.c_str(), c.type_name.c_str(),
                   c.failure.c_str());
       continue;
     }
-    std::printf("sim%-5zu %-8s %10s %11.1fs %11.1fs %11.1fs %11.1fs\n", i,
-                c.type_name.c_str(), FormatByteSize(c.gpu_memory).c_str(),
+    std::printf("%-8s %-8s %10s %11.1fs %11.1fs %11.1fs %11.1fs\n",
+                c.id.c_str(), c.type_name.c_str(),
+                FormatByteSize(c.gpu_memory).c_str(),
                 ToSeconds(c.submitted - kTimeZero),
                 ToSeconds(c.compute_started - kTimeZero),
                 ToSeconds(c.finished - kTimeZero), ToSeconds(c.suspended));

@@ -64,8 +64,7 @@ int RunRound(bool with_convgpu) {
 
     if (with_convgpu) {
       // Through nvidia-docker: registered, limited, interposed.
-      NvDocker nvdocker({&engine, scheduler->main_socket_path(), nullptr,
-                         "/dev/nvidia0"});
+      NvDocker nvdocker({&engine, scheduler->main_socket_path()});
       RunRequest request;
       request.image = "cuda-app";
       request.name = spec.name;

@@ -102,46 +102,44 @@ Result<ParsedCommand> ParseCommandLine(std::span<const std::string> args) {
   return command;
 }
 
+Status SendContainerClose(const std::string& scheduler_socket,
+                          const std::string& scheduler_key) {
+  auto client = ipc::MessageClient::ConnectUnix(scheduler_socket);
+  if (!client.ok()) return client.status();
+  protocol::ContainerClose close;
+  close.container_id = scheduler_key;
+  return protocol::Notify(**client, protocol::Message(close));
+}
+
 NvDocker::NvDocker(Options options) : options_(std::move(options)) {}
 
 Result<RunResult> NvDocker::RegisterWithScheduler(const std::string& key,
                                                   Bytes limit) {
+  // The paper's flow: the limit is sent to the scheduler over the UNIX
+  // socket before the container is created, and the scheduler answers with
+  // the per-container directory to mount.
+  auto client = ipc::MessageClient::ConnectUnix(options_.scheduler_socket);
+  if (!client.ok()) {
+    return UnavailableError("cannot reach ConVGPU scheduler at " +
+                            options_.scheduler_socket + ": " +
+                            client.status().message());
+  }
+  protocol::RegisterContainer request;
+  request.container_id = key;
+  request.memory_limit = limit;
+  auto reply = protocol::Expect<protocol::RegisterReply>(
+      protocol::Call(**client, protocol::Message(request), /*req_id=*/1));
+  if (!reply.ok()) return reply.status();
+  if (!reply->ok) {
+    return FailedPreconditionError("scheduler refused container: " +
+                                   reply->error);
+  }
   RunResult result;
   result.scheduler_key = key;
   result.gpu_memory_limit = limit;
-
-  if (!options_.scheduler_socket.empty()) {
-    // The paper's flow: the limit is sent to the scheduler over the UNIX
-    // socket before the container is created, and the scheduler answers
-    // with the per-container directory to mount.
-    auto client = ipc::MessageClient::ConnectUnix(options_.scheduler_socket);
-    if (!client.ok()) {
-      return UnavailableError("cannot reach ConVGPU scheduler at " +
-                              options_.scheduler_socket + ": " +
-                              client.status().message());
-    }
-    protocol::RegisterContainer request;
-    request.container_id = key;
-    request.memory_limit = limit;
-    auto reply = protocol::Expect<protocol::RegisterReply>(
-        protocol::Call(**client, protocol::Message(request), /*req_id=*/1));
-    if (!reply.ok()) return reply.status();
-    if (!reply->ok) {
-      return FailedPreconditionError("scheduler refused container: " +
-                                     reply->error);
-    }
-    result.socket_dir = reply->socket_dir;
-    result.socket_path = reply->socket_path;
-    return result;
-  }
-
-  if (options_.direct_core != nullptr) {
-    CONVGPU_RETURN_IF_ERROR(
-        options_.direct_core->RegisterContainer(key, limit));
-    return result;
-  }
-  return FailedPreconditionError(
-      "NvDocker needs either scheduler_socket or direct_core");
+  result.socket_dir = reply->socket_dir;
+  result.socket_path = reply->socket_path;
+  return result;
 }
 
 Result<std::pair<containersim::ContainerSpec, RunResult>> NvDocker::Prepare(
@@ -206,18 +204,27 @@ Result<RunResult> NvDocker::Run(RunRequest request) {
   if (!prepared.ok()) return prepared.status();
   auto& [spec, result] = *prepared;
 
-  auto id = options_.engine->Create(std::move(spec));
-  if (!id.ok()) {
-    // Roll back the registration so the scheduler does not hold memory for
-    // a container that never existed.
-    if (!result.scheduler_key.empty() && options_.direct_core != nullptr) {
-      (void)options_.direct_core->ContainerClose(result.scheduler_key);
+  // A container that never starts must not hold its registration, or the
+  // scheduler keeps its memory assigned for good.
+  auto release = [&](const Status& failure) {
+    if (!result.container_id.empty()) {
+      (void)options_.engine->Remove(result.container_id);
     }
-    return id.status();
-  }
+    if (!result.scheduler_key.empty()) {
+      Status closed =
+          SendContainerClose(options_.scheduler_socket, result.scheduler_key);
+      if (!closed.ok()) {
+        CONVGPU_LOG(kError, kTag) << "cannot release " << result.scheduler_key
+                                  << ": " << closed.ToString();
+      }
+    }
+    return failure;
+  };
+  auto id = options_.engine->Create(std::move(spec));
+  if (!id.ok()) return release(id.status());
   result.container_id = *id;
   auto started = options_.engine->Start(*id);
-  if (!started.ok()) return started;
+  if (!started.ok()) return release(started);
   CONVGPU_LOG(kInfo, kTag) << "started " << result.container_id << " (key "
                            << result.scheduler_key << ", GPU limit "
                            << FormatByteSize(result.gpu_memory_limit) << ")";

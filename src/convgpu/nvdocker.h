@@ -21,9 +21,9 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/ids.h"
 #include "common/result.h"
 #include "containersim/engine.h"
-#include "convgpu/scheduler_core.h"
 
 namespace convgpu {
 
@@ -32,6 +32,11 @@ namespace convgpu {
 inline constexpr char kExitVolumePrefix[] = "convgpu_exit_";
 /// Container-side mount point of the per-container scheduler directory.
 inline constexpr char kContainerConvgpuDir[] = "/var/lib/convgpu";
+
+/// Sends the scheduler the close signal for `scheduler_key` over its main
+/// socket: the container is gone and its memory returns to the pool.
+Status SendContainerClose(const std::string& scheduler_socket,
+                          const std::string& scheduler_key);
 
 /// A `nvidia-docker run` invocation after option parsing.
 struct RunRequest {
@@ -71,10 +76,8 @@ class NvDocker {
  public:
   struct Options {
     containersim::Engine* engine = nullptr;  // required
-    /// The scheduler's main socket. Empty => direct in-process mode via
-    /// `direct_core` (deterministic tests and the DES).
+    /// The scheduler's main socket (required for GPU images).
     std::string scheduler_socket;
-    SchedulerCore* direct_core = nullptr;
     /// GPU device node exposed via --device.
     std::string gpu_device_path = "/dev/nvidia0";
   };
@@ -82,7 +85,8 @@ class NvDocker {
   explicit NvDocker(Options options);
 
   /// The full run pipeline: limit resolution → scheduler registration →
-  /// spec construction → engine create + start.
+  /// spec construction → engine create + start. If create or start fails,
+  /// the container is removed and its registration closed.
   Result<RunResult> Run(RunRequest request);
 
   /// Builds the ContainerSpec without creating it (inspectable by tests).

@@ -4,8 +4,6 @@
 
 #include "common/log.h"
 #include "convgpu/nvdocker.h"
-#include "convgpu/protocol.h"
-#include "ipc/message_server.h"
 
 namespace convgpu {
 
@@ -26,24 +24,6 @@ Result<std::string> NvDockerPlugin::Mount(const std::string& volume_name,
   return path;
 }
 
-void NvDockerPlugin::SendClose(const std::string& scheduler_key) {
-  if (!options_.scheduler_socket.empty()) {
-    auto client = ipc::MessageClient::ConnectUnix(options_.scheduler_socket);
-    if (!client.ok()) {
-      CONVGPU_LOG(kError, kTag) << "cannot reach scheduler for close signal: "
-                                << client.status().ToString();
-      return;
-    }
-    protocol::ContainerClose close;
-    close.container_id = scheduler_key;
-    (void)protocol::Notify(**client, protocol::Message(close));
-    return;
-  }
-  if (options_.direct_core != nullptr) {
-    (void)options_.direct_core->ContainerClose(scheduler_key);
-  }
-}
-
 void NvDockerPlugin::Unmount(const std::string& volume_name,
                              const std::string& container_id) {
   (void)container_id;
@@ -54,7 +34,11 @@ void NvDockerPlugin::Unmount(const std::string& volume_name,
   const std::string key = volume_name.substr(prefix.size());
   CONVGPU_LOG(kInfo, kTag) << "container " << key
                            << " exited (dummy volume unmounted), sending close";
-  SendClose(key);
+  Status closed = SendContainerClose(options_.scheduler_socket, key);
+  if (!closed.ok()) {
+    CONVGPU_LOG(kError, kTag) << "cannot send close signal for " << key
+                              << ": " << closed.ToString();
+  }
   MutexLock lock(mutex_);
   closed_.push_back(key);
 }

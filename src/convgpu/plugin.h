@@ -7,13 +7,12 @@
 //     signal for that container.
 #pragma once
 
-#include <map>
+#include <vector>
 #include <string>
 
 #include "common/mutex.h"
 #include "common/result.h"
 #include "containersim/volume.h"
-#include "convgpu/scheduler_core.h"
 
 namespace convgpu {
 
@@ -22,9 +21,8 @@ class NvDockerPlugin final : public containersim::VolumePlugin {
   struct Options {
     /// Host directory under which driver volumes are materialized.
     std::string volume_root = "/tmp/convgpu-volumes";
-    /// Scheduler main socket for close signals; empty => use direct_core.
+    /// Scheduler main socket for close signals.
     std::string scheduler_socket;
-    SchedulerCore* direct_core = nullptr;
   };
 
   explicit NvDockerPlugin(Options options) : options_(std::move(options)) {}
@@ -38,8 +36,6 @@ class NvDockerPlugin final : public containersim::VolumePlugin {
   [[nodiscard]] std::vector<std::string> closed_containers() const;
 
  private:
-  void SendClose(const std::string& scheduler_key);
-
   Options options_;
   mutable Mutex mutex_;
   std::vector<std::string> closed_ GUARDED_BY(mutex_);

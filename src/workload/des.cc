@@ -2,228 +2,49 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
-
-#include "common/log.h"
-#include "containersim/engine.h"
-#include "convgpu/nvdocker.h"
-#include "convgpu/plugin.h"
 
 namespace convgpu::workload {
 
 namespace {
 
-constexpr char kTag[] = "des";
-constexpr char kImageName[] = "convgpu/sample:latest";
-
-/// Per-run simulation state binding the middleware stack to the SimClock.
-class Simulation {
- public:
-  static SchedulerOptions MakeSchedulerOptions(const CloudSimConfig& config) {
-    SchedulerOptions options;
-    options.capacity = config.gpu_capacity;
-    options.first_alloc_overhead = config.first_alloc_overhead;
-    options.policy = config.policy;
-    options.policy_seed = config.seed ^ 0x9E3779B97F4A7C15ULL;
-    return options;
+/// Fig. 7/8 aggregates over the containers' outcomes.
+void FillAggregates(CloudSimResult& result) {
+  Duration total_suspended = Duration::zero();
+  std::vector<Duration> suspended;
+  suspended.reserve(result.containers.size());
+  for (const SimContainerOutcome& outcome : result.containers) {
+    if (outcome.failed) continue;
+    result.finished_time =
+        std::max(result.finished_time, outcome.finished - kTimeZero);
+    total_suspended += outcome.suspended;
+    result.max_suspended_time =
+        std::max(result.max_suspended_time, outcome.suspended);
+    suspended.push_back(outcome.suspended);
   }
-
-  static NvDockerPlugin::Options MakePluginOptions(SchedulerCore* core) {
-    NvDockerPlugin::Options options;
-    options.volume_root = "/tmp/convgpu-des-volumes";
-    options.direct_core = core;
-    return options;
+  if (!result.containers.empty()) {
+    result.avg_suspended_time =
+        total_suspended / static_cast<std::int64_t>(result.containers.size());
   }
-
-  static NvDocker::Options MakeNvDockerOptions(containersim::Engine* engine,
-                                               SchedulerCore* core) {
-    NvDocker::Options options;
-    options.engine = engine;
-    options.direct_core = core;
-    return options;
+  if (!suspended.empty()) {
+    std::sort(suspended.begin(), suspended.end());
+    const auto index = static_cast<std::size_t>(
+        0.95 * static_cast<double>(suspended.size() - 1) + 0.5);
+    result.p95_suspended_time = suspended[index];
   }
+}
 
-  explicit Simulation(const CloudSimConfig& config)
-      : config_(config),
-        rng_(config.seed),
-        core_(MakeSchedulerOptions(config), &clock_),
-        engine_(&clock_),
-        plugin_(MakePluginOptions(&core_)),
-        nvdocker_(MakeNvDockerOptions(&engine_, &core_)) {
-    engine_.images().Put(
-        containersim::ImageRegistry::CudaImage(kImageName, "8.0"));
-    engine_.RegisterVolumePlugin("nvidia-docker", &plugin_);
+std::string CsvEscape(const std::string& field) {
+  if (field.find_first_of(",\"\n") == std::string::npos) return field;
+  std::string out = "\"";
+  for (char c : field) {
+    if (c == '"') out += '"';
+    out += c;
   }
-
-  Result<CloudSimResult> Run() {
-    outcomes_.resize(static_cast<std::size_t>(config_.num_containers));
-    for (int i = 0; i < config_.num_containers; ++i) {
-      const TimePoint at = kTimeZero + config_.spawn_interval * i;
-      clock_.ScheduleAt(at, [this, i] { Submit(static_cast<std::size_t>(i)); });
-    }
-    clock_.RunUntilIdle();
-
-    CONVGPU_RETURN_IF_ERROR(core_.CheckInvariants());
-    if (core_.pending_request_count() != 0) {
-      return InternalError("simulation ended with suspended requests — "
-                           "scheduling deadlock");
-    }
-
-    CloudSimResult result;
-    result.containers = std::move(outcomes_);
-    result.total_suspend_episodes = total_episodes_;
-    FillAggregates(result);
-    return result;
-  }
-
-  /// Aggregate metrics shared with the multi-GPU simulation.
-  static void FillAggregates(CloudSimResult& result) {
-    Duration total_suspended = Duration::zero();
-    std::vector<Duration> suspended;
-    suspended.reserve(result.containers.size());
-    for (const SimContainerOutcome& outcome : result.containers) {
-      if (outcome.failed) continue;
-      result.finished_time =
-          std::max(result.finished_time, outcome.finished - kTimeZero);
-      total_suspended += outcome.suspended;
-      result.max_suspended_time =
-          std::max(result.max_suspended_time, outcome.suspended);
-      suspended.push_back(outcome.suspended);
-    }
-    if (!result.containers.empty()) {
-      result.avg_suspended_time =
-          total_suspended / static_cast<std::int64_t>(result.containers.size());
-    }
-    if (!suspended.empty()) {
-      std::sort(suspended.begin(), suspended.end());
-      const auto index = static_cast<std::size_t>(
-          0.95 * static_cast<double>(suspended.size() - 1) + 0.5);
-      result.p95_suspended_time = suspended[index];
-    }
-  }
-
- private:
-  void Submit(std::size_t index) {
-    const ContainerType& type = RandomContainerType(rng_);
-    SimContainerOutcome& outcome = outcomes_[index];
-    outcome.type_name = std::string(type.name);
-    outcome.gpu_memory = type.gpu_memory;
-    outcome.submitted = clock_.Now();
-
-    RunRequest request;
-    request.image = kImageName;
-    request.name = "sim" + std::to_string(index);
-    request.nvidia_memory = FormatByteSize(type.gpu_memory);
-    request.vcpus = type.vcpus;
-    request.memory_limit = type.host_memory;
-    // External-execution container: the DES drives the program itself.
-    auto run = nvdocker_.Run(std::move(request));
-    if (!run.ok()) {
-      outcome.failed = true;
-      outcome.failure = run.status().ToString();
-      CONVGPU_LOG(kWarn, kTag) << "submit failed: " << outcome.failure;
-      return;
-    }
-    outcome.id = run->container_id;
-
-    auto info = engine_.Inspect(run->container_id);
-    const Pid pid = info.ok() ? info->pid : static_cast<Pid>(index) + 1;
-    const std::string key = run->scheduler_key;
-
-    // The sample program's single full-size allocation. The callback fires
-    // immediately (grant) or whenever redistribution satisfies it (the
-    // suspension the paper measures).
-    core_.RequestAlloc(
-        key, pid, type.gpu_memory,
-        [this, index, key, pid, type](const Status& status) {
-          OnAllocDecision(index, key, pid, type, status);
-        });
-  }
-
-  void OnAllocDecision(std::size_t index, const std::string& key, Pid pid,
-                       const ContainerType& type, const Status& status) {
-    SimContainerOutcome& outcome = outcomes_[index];
-    if (!status.ok()) {
-      outcome.failed = true;
-      outcome.failure = status.ToString();
-      FinishContainer(index, key, pid, /*exit_code=*/1);
-      return;
-    }
-    // Address uniqueness is all the ledger needs in simulation.
-    const std::uint64_t address = 0x7000'0000'0000ULL + index * 0x1'0000'0000ULL;
-    (void)core_.CommitAlloc(key, pid, address, type.gpu_memory);
-    outcome.compute_started = clock_.Now();
-
-    const Duration compute = SampleProgramDuration(type);
-    clock_.ScheduleAfter(compute, [this, index, key, pid, address] {
-      (void)core_.FreeAlloc(key, pid, address);
-      (void)core_.ProcessExit(key, pid);
-      FinishContainer(index, key, pid, /*exit_code=*/0);
-    });
-  }
-
-  void FinishContainer(std::size_t index, const std::string& key, Pid /*pid*/,
-                       int exit_code) {
-    SimContainerOutcome& outcome = outcomes_[index];
-    // Capture suspension statistics before the close wipes the account.
-    if (auto stats = core_.StatsFor(key)) {
-      outcome.suspended = stats->total_suspended;
-      total_episodes_ += stats->suspend_episodes;
-    }
-    // Container exit: the engine fires the die + volume-unmount events; the
-    // plugin sees the dummy-volume unmount and sends the close signal,
-    // which triggers the policy's redistribution inside the core.
-    if (!outcome.id.empty()) {
-      (void)engine_.MarkExited(outcome.id, exit_code);
-    } else {
-      (void)core_.ContainerClose(key);
-    }
-    outcome.finished = clock_.Now();
-  }
-
-  CloudSimConfig config_;
-  SimClock clock_;
-  Rng rng_;
-  SchedulerCore core_;
-  containersim::Engine engine_;
-  NvDockerPlugin plugin_;
-  NvDocker nvdocker_;
-  std::vector<SimContainerOutcome> outcomes_;
-  std::uint64_t total_episodes_ = 0;
-};
+  out += "\"";
+  return out;
+}
 
 }  // namespace
-
-Result<CloudSimResult> RunCloudSimulation(const CloudSimConfig& config) {
-  if (config.num_containers <= 0) {
-    return InvalidArgumentError("num_containers must be positive");
-  }
-  Simulation simulation(config);
-  return simulation.Run();
-}
-
-Result<CloudSimResult> RunCloudSimulationAveraged(CloudSimConfig config,
-                                                  int repetitions) {
-  if (repetitions <= 0) {
-    return InvalidArgumentError("repetitions must be positive");
-  }
-  CloudSimResult accumulated;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    auto result = RunCloudSimulation(config);
-    if (!result.ok()) return result;
-    accumulated.finished_time += result->finished_time;
-    accumulated.avg_suspended_time += result->avg_suspended_time;
-    accumulated.p95_suspended_time += result->p95_suspended_time;
-    accumulated.max_suspended_time =
-        std::max(accumulated.max_suspended_time, result->max_suspended_time);
-    accumulated.total_suspend_episodes += result->total_suspend_episodes;
-    config.seed += 1;
-  }
-  accumulated.finished_time /= repetitions;
-  accumulated.avg_suspended_time /= repetitions;
-  accumulated.p95_suspended_time /= repetitions;
-  return accumulated;
-}
 
 Result<CloudSimResult> RunMultiGpuSimulation(const MultiGpuSimConfig& config) {
   if (config.num_containers <= 0 || config.num_gpus <= 0) {
@@ -236,7 +57,7 @@ Result<CloudSimResult> RunMultiGpuSimulation(const MultiGpuSimConfig& config) {
   SchedulerOptions base;
   base.first_alloc_overhead = config.first_alloc_overhead;
   base.policy = config.policy;
-  base.policy_seed = config.seed ^ 0xA5A5A5A5ULL;
+  base.policy_seed = config.seed ^ 0x9E3779B97F4A7C15ULL;
   std::vector<MultiGpuScheduler::DeviceSpec> devices;
   devices.reserve(static_cast<std::size_t>(config.num_gpus));
   for (int i = 0; i < config.num_gpus; ++i) {
@@ -248,9 +69,8 @@ Result<CloudSimResult> RunMultiGpuSimulation(const MultiGpuSimConfig& config) {
       static_cast<std::size_t>(config.num_containers));
   std::uint64_t episodes = 0;
 
-  // The same submit → allocate → compute → release pipeline as the
-  // single-GPU simulation, driving the placement layer directly (no
-  // container engine: placement quality is what this variant measures).
+  // Submit → allocate → compute → release, per container, driving the
+  // placement layer directly.
   std::function<void(std::size_t)> submit = [&](std::size_t index) {
     const ContainerType& type = RandomContainerType(rng);
     SimContainerOutcome& outcome = outcomes[index];
@@ -310,31 +130,39 @@ Result<CloudSimResult> RunMultiGpuSimulation(const MultiGpuSimConfig& config) {
 
   CONVGPU_RETURN_IF_ERROR(scheduler.CheckInvariants());
   if (scheduler.pending_request_count() != 0) {
-    return InternalError("multi-GPU simulation ended with suspended requests");
+    return InternalError("simulation ended with suspended requests — "
+                         "scheduling deadlock");
   }
 
   CloudSimResult result;
   result.containers = std::move(outcomes);
   result.total_suspend_episodes = episodes;
-  Simulation::FillAggregates(result);
+  FillAggregates(result);
   return result;
 }
 
-
-namespace {
-
-std::string CsvEscape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
+Result<CloudSimResult> RunCloudSimulationAveraged(MultiGpuSimConfig config,
+                                                  int repetitions) {
+  if (repetitions <= 0) {
+    return InvalidArgumentError("repetitions must be positive");
   }
-  out += "\"";
-  return out;
+  CloudSimResult accumulated;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    auto result = RunMultiGpuSimulation(config);
+    if (!result.ok()) return result;
+    accumulated.finished_time += result->finished_time;
+    accumulated.avg_suspended_time += result->avg_suspended_time;
+    accumulated.p95_suspended_time += result->p95_suspended_time;
+    accumulated.max_suspended_time =
+        std::max(accumulated.max_suspended_time, result->max_suspended_time);
+    accumulated.total_suspend_episodes += result->total_suspend_episodes;
+    config.seed += 1;
+  }
+  accumulated.finished_time /= repetitions;
+  accumulated.avg_suspended_time /= repetitions;
+  accumulated.p95_suspended_time /= repetitions;
+  return accumulated;
 }
-
-}  // namespace
 
 std::string ResultToCsv(const CloudSimResult& result) {
   std::string out =

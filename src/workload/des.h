@@ -3,13 +3,15 @@
 // Reproduces the multi-container experiment: container types drawn
 // uniformly from Table III, one container submitted every 5 seconds, each
 // running the sample program (single full-size allocation, 5–45 s compute,
-// free, exit) against one shared 5 GB GPU managed by ConVGPU.
+// free, exit) against shared 5 GB GPUs managed by ConVGPU.
 //
 // The harness drives the REAL SchedulerCore — the same object behind the
-// socket daemon — plus the container engine, the nvidia-docker front-end,
-// and the exit-detection plugin, all on a virtual clock. Everything is
-// deterministic in (seed, policy), so Table IV/V regenerate in milliseconds
-// instead of the paper's wall-clock hours.
+// socket daemon — through the MultiGpuScheduler placement layer, on a
+// virtual clock. One GPU is the paper's setup; more is its §V future work.
+// Everything is deterministic in (seed, policy), so Table IV/V regenerate
+// in milliseconds instead of the paper's wall-clock hours. The container
+// engine, nvdocker and the volume plugin are not on this path; they are
+// covered by integration_test and nvdocker_test.
 #pragma once
 
 #include <string>
@@ -19,26 +21,16 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "convgpu/multigpu.h"
-#include "convgpu/scheduler_core.h"
 #include "json/json.h"
 #include "workload/container_types.h"
 
 namespace convgpu::workload {
 
-struct CloudSimConfig {
-  int num_containers = 4;
-  Duration spawn_interval = Seconds(5);
-  std::uint64_t seed = 1;
-  std::string policy = "FIFO";
-  Bytes gpu_capacity = 5 * kGiB;
-  Bytes first_alloc_overhead = 66 * kMiB;
-};
-
 struct SimContainerOutcome {
-  std::string id;
+  std::string id;  // scheduler key
   std::string type_name;
   Bytes gpu_memory = 0;
-  TimePoint submitted = kTimeZero;   // nvidia-docker run issued
+  TimePoint submitted = kTimeZero;   // registered with the scheduler
   TimePoint compute_started = kTimeZero;  // allocation finally granted
   TimePoint finished = kTimeZero;    // container exited
   Duration suspended = Duration::zero();
@@ -60,20 +52,11 @@ struct CloudSimResult {
   std::uint64_t total_suspend_episodes = 0;
 };
 
-/// Runs one complete simulation. Deterministic in `config`.
-Result<CloudSimResult> RunCloudSimulation(const CloudSimConfig& config);
-
-/// Convenience: averages `repetitions` runs with seeds seed, seed+1, ...
-/// (the paper repeats every configuration 6 times and averages).
-Result<CloudSimResult> RunCloudSimulationAveraged(CloudSimConfig config,
-                                                  int repetitions);
-
-/// Multi-GPU variant of the cloud simulation (the paper's §V future work):
-/// the same Table III workload over `num_gpus` devices behind a
-/// MultiGpuScheduler placement stage.
+/// One simulation run: the Table III workload over `num_gpus` devices,
+/// each scheduled by `policy`, behind a placement stage.
 struct MultiGpuSimConfig {
   int num_containers = 16;
-  int num_gpus = 2;
+  int num_gpus = 1;
   Bytes gpu_capacity = 5 * kGiB;
   Duration spawn_interval = Seconds(5);
   std::uint64_t seed = 1;
@@ -82,7 +65,13 @@ struct MultiGpuSimConfig {
   Bytes first_alloc_overhead = 66 * kMiB;
 };
 
+/// Runs one complete simulation. Deterministic in `config`.
 Result<CloudSimResult> RunMultiGpuSimulation(const MultiGpuSimConfig& config);
+
+/// Averages `repetitions` runs with seeds seed, seed+1, ... (the paper
+/// repeats every configuration 6 times and averages).
+Result<CloudSimResult> RunCloudSimulationAveraged(MultiGpuSimConfig config,
+                                                  int repetitions);
 
 /// CSV export (one row per container plus a header) for external plotting
 /// of Figures 7/8-style data.

@@ -37,10 +37,10 @@ TEST(ContainerTypesTest, SampleDurationSpansPaperRange) {
 }
 
 TEST(CloudSimTest, SmallRunCompletesAllContainers) {
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.num_containers = 4;
   config.seed = 7;
-  auto result = RunCloudSimulation(config);
+  auto result = RunMultiGpuSimulation(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->containers.size(), 4u);
   for (const auto& outcome : result->containers) {
@@ -52,12 +52,12 @@ TEST(CloudSimTest, SmallRunCompletesAllContainers) {
 }
 
 TEST(CloudSimTest, DeterministicForSameSeed) {
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.num_containers = 20;
   config.seed = 11;
   config.policy = "BF";
-  auto a = RunCloudSimulation(config);
-  auto b = RunCloudSimulation(config);
+  auto a = RunMultiGpuSimulation(config);
+  auto b = RunMultiGpuSimulation(config);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->finished_time, b->finished_time);
@@ -70,12 +70,12 @@ TEST(CloudSimTest, DeterministicForSameSeed) {
 }
 
 TEST(CloudSimTest, DifferentSeedsProduceDifferentTraces) {
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.num_containers = 20;
   config.seed = 1;
-  auto a = RunCloudSimulation(config);
+  auto a = RunMultiGpuSimulation(config);
   config.seed = 2;
-  auto b = RunCloudSimulation(config);
+  auto b = RunMultiGpuSimulation(config);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_NE(a->finished_time, b->finished_time);
@@ -84,7 +84,7 @@ TEST(CloudSimTest, DifferentSeedsProduceDifferentTraces) {
 TEST(CloudSimTest, FinishedTimeGrowsWithLoad) {
   // The paper: "As the number of the containers is doubled, finished time
   // is also roughly increased to double."
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.seed = 3;
   config.num_containers = 8;
   auto small = RunCloudSimulationAveraged(config, 3);
@@ -96,23 +96,50 @@ TEST(CloudSimTest, FinishedTimeGrowsWithLoad) {
 }
 
 TEST(CloudSimTest, LowLoadRunsMostlyUnsuspended) {
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.num_containers = 4;
   config.seed = 5;
-  auto result = RunCloudSimulation(config);
+  auto result = RunMultiGpuSimulation(config);
   ASSERT_TRUE(result.ok());
   // With 4 staggered containers on a 5 GB GPU suspension is rare/short.
   EXPECT_LT(ToSeconds(result->avg_suspended_time), 20.0);
 }
 
 TEST(CloudSimTest, HighLoadSuspendsSomebody) {
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.num_containers = 30;
   config.seed = 5;
-  auto result = RunCloudSimulation(config);
+  auto result = RunMultiGpuSimulation(config);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->total_suspend_episodes, 0u);
   EXPECT_GT(result->max_suspended_time, Duration::zero());
+}
+
+// The Table IV/V cells published in EXPERIMENTS.md, regenerated with the
+// fig7/fig8 setup: 6 repetitions, seed 1000 + N. Rand is the policy that
+// reads the policy seed, so its cells pin the seed derivation too.
+TEST(PublishedNumbersTest, TablesFourAndFiveAtHighLoad) {
+  struct Cell {
+    const char* policy;
+    double finished_s;
+    double avg_suspended_s;
+  };
+  for (const Cell& cell : {Cell{"FIFO", 504.8, 142.6}, Cell{"BF", 462.7, 85.5},
+                           Cell{"RU", 533.2, 114.5},
+                           Cell{"Rand", 558.7, 118.5}}) {
+    auto result = RunCloudSimulationAveraged(
+        {.num_containers = 38, .seed = 1038, .policy = cell.policy}, 6);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_NEAR(ToSeconds(result->finished_time), cell.finished_s, 0.05)
+        << cell.policy;
+    EXPECT_NEAR(ToSeconds(result->avg_suspended_time), cell.avg_suspended_s,
+                0.05)
+        << cell.policy;
+  }
+  auto tail = RunCloudSimulationAveraged(
+      {.num_containers = 30, .seed = 1030, .policy = "BF"}, 6);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  EXPECT_NEAR(ToSeconds(tail->p95_suspended_time), 241.2, 0.05);
 }
 
 // Property: every policy finishes every container (no deadlock, no lost
@@ -123,11 +150,11 @@ class PolicySweepTest
 
 TEST_P(PolicySweepTest, AllContainersFinish) {
   const auto& [policy, count, seed] = GetParam();
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.policy = policy;
   config.num_containers = count;
   config.seed = seed;
-  auto result = RunCloudSimulation(config);
+  auto result = RunMultiGpuSimulation(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->containers.size(), static_cast<std::size_t>(count));
   for (const auto& outcome : result->containers) {
@@ -146,10 +173,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 2u)));
 
 TEST(CloudSimTest, AveragingReducesToSingleRunWhenOneRep) {
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.num_containers = 10;
   config.seed = 9;
-  auto single = RunCloudSimulation(config);
+  auto single = RunMultiGpuSimulation(config);
   auto averaged = RunCloudSimulationAveraged(config, 1);
   ASSERT_TRUE(single.ok());
   ASSERT_TRUE(averaged.ok());
@@ -157,9 +184,9 @@ TEST(CloudSimTest, AveragingReducesToSingleRunWhenOneRep) {
 }
 
 TEST(CloudSimTest, InvalidConfigRejected) {
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.num_containers = 0;
-  EXPECT_FALSE(RunCloudSimulation(config).ok());
+  EXPECT_FALSE(RunMultiGpuSimulation(config).ok());
   config.num_containers = 4;
   EXPECT_FALSE(RunCloudSimulationAveraged(config, 0).ok());
 }
@@ -216,10 +243,10 @@ TEST(MultiGpuSimTest, AllPlacementsComplete) {
 }
 
 TEST(CloudSimTest, PercentileIsBetweenAvgAndMax) {
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.num_containers = 30;
   config.seed = 21;
-  auto result = RunCloudSimulation(config);
+  auto result = RunMultiGpuSimulation(config);
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->p95_suspended_time, Duration::zero());
   EXPECT_LE(result->p95_suspended_time, result->max_suspended_time);
@@ -227,10 +254,10 @@ TEST(CloudSimTest, PercentileIsBetweenAvgAndMax) {
 
 
 TEST(ResultExportTest, CsvHasHeaderAndOneRowPerContainer) {
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.num_containers = 6;
   config.seed = 13;
-  auto result = RunCloudSimulation(config);
+  auto result = RunMultiGpuSimulation(config);
   ASSERT_TRUE(result.ok());
   const std::string csv = ResultToCsv(*result);
   // Header + 6 rows, newline-terminated.
@@ -245,10 +272,10 @@ TEST(ResultExportTest, CsvHasHeaderAndOneRowPerContainer) {
 }
 
 TEST(ResultExportTest, JsonRoundTripsAndMatchesAggregates) {
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.num_containers = 5;
   config.seed = 17;
-  auto result = RunCloudSimulation(config);
+  auto result = RunMultiGpuSimulation(config);
   ASSERT_TRUE(result.ok());
   const json::Json doc = ResultToJson(*result);
   auto reparsed = json::Json::Parse(doc.Dump());

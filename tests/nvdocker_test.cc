@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "containersim/engine.h"
 #include "convgpu/plugin.h"
-#include "convgpu/scheduler_core.h"
+#include "convgpu/scheduler_server.h"
+#include "tests/test_util.h"
 
 namespace convgpu {
 namespace {
@@ -84,38 +87,50 @@ TEST(ParseCommandLineTest, Rejections) {
   EXPECT_FALSE(ParseCommandLine(Args({"run", "-e", "NOEQUALS", "img"})).ok());
 }
 
-class NvDockerDirectTest : public ::testing::Test {
+// nvdocker and its volume plugin against a real scheduler daemon: both
+// reach the scheduler only over its main socket, as in the paper.
+class NvDockerTest : public ::testing::Test {
  protected:
-  NvDockerDirectTest() : core_(MakeOptions(), &clock_) {
+  NvDockerTest() {
+    SchedulerServerOptions server_options;
+    server_options.base_dir = dir_.path();
+    server_options.scheduler.capacity = 5_GiB;
+    server_ = std::make_unique<SchedulerServer>(std::move(server_options));
+    EXPECT_TRUE(server_->Start().ok());
+
     engine_.images().Put(ImageRegistry::CudaImage("cuda-app", "8.0", "256MiB"));
     Image plain;
     plain.name = "busybox";
     engine_.images().Put(plain);
-
-    NvDockerPlugin::Options plugin_options;
-    plugin_options.volume_root = "/tmp/convgpu-nvdocker-test-volumes";
-    plugin_options.direct_core = &core_;
-    plugin_ = std::make_unique<NvDockerPlugin>(plugin_options);
-    engine_.RegisterVolumePlugin("nvidia-docker", plugin_.get());
+    UsePlugin(dir_.path() + "/volumes");
 
     NvDocker::Options options;
     options.engine = &engine_;
-    options.direct_core = &core_;
+    options.scheduler_socket = server_->main_socket_path();
     nvdocker_ = std::make_unique<NvDocker>(options);
   }
 
-  static SchedulerOptions MakeOptions() {
-    SchedulerOptions options;
-    options.capacity = 5_GiB;
-    return options;
+  void UsePlugin(const std::string& volume_root) {
+    NvDockerPlugin::Options plugin_options;
+    plugin_options.volume_root = volume_root;
+    plugin_options.scheduler_socket = server_->main_socket_path();
+    auto plugin = std::make_unique<NvDockerPlugin>(plugin_options);
+    engine_.RegisterVolumePlugin("nvidia-docker", plugin.get());
+    plugin_ = std::move(plugin);
   }
 
-  SimClock clock_;
-  containersim::Engine engine_;
-  SchedulerCore core_;
+  SchedulerCore& core() { return server_->core(); }
+
+  testing::TempDir dir_;
+  std::unique_ptr<SchedulerServer> server_;
   std::unique_ptr<NvDockerPlugin> plugin_;
+  containersim::Engine engine_;
   std::unique_ptr<NvDocker> nvdocker_;
 };
+
+// The cases that call Prepare/Run directly keep their suite name, so their
+// test ids stay stable.
+using NvDockerDirectTest = NvDockerTest;
 
 TEST_F(NvDockerDirectTest, PrepareWiresGpuContainer) {
   RunRequest request;
@@ -129,7 +144,7 @@ TEST_F(NvDockerDirectTest, PrepareWiresGpuContainer) {
   EXPECT_EQ(result.scheduler_key, "job1");
   EXPECT_EQ(result.gpu_memory_limit, 512_MiB);
   // Registered with the scheduler before the container exists.
-  EXPECT_EQ(core_.StatsFor("job1")->limit, 512_MiB);
+  EXPECT_EQ(core().StatsFor("job1")->limit, 512_MiB);
 
   // --device for the GPU.
   ASSERT_EQ(spec.devices.size(), 1u);
@@ -165,7 +180,7 @@ TEST_F(NvDockerDirectTest, NonGpuImageBypassesConvgpu) {
   EXPECT_TRUE(prepared->second.scheduler_key.empty());
   EXPECT_TRUE(prepared->first.devices.empty());
   EXPECT_TRUE(prepared->first.mounts.empty());
-  EXPECT_FALSE(core_.StatsFor("plain").has_value());
+  EXPECT_FALSE(core().StatsFor("plain").has_value());
 }
 
 TEST_F(NvDockerDirectTest, DuplicateNameRefused) {
@@ -211,6 +226,27 @@ TEST_F(NvDockerDirectTest, ImpossibleLimitRefusedBeforeCreate) {
   auto result = nvdocker_->Run(std::move(request));
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(engine_.List().empty());  // nothing half-created
+}
+
+TEST_F(NvDockerTest, FailedStartReleasesTheRegistration) {
+  // A volume root under a regular file: every Mount fails, so Start does.
+  const std::string blocker = dir_.path() + "/not-a-directory";
+  std::ofstream(blocker) << "x";
+  UsePlugin(blocker + "/volumes");
+
+  RunRequest request;
+  request.image = "cuda-app";
+  request.name = "doomed";
+  request.nvidia_memory = "2GiB";
+  auto result = nvdocker_->Run(std::move(request));
+  ASSERT_FALSE(result.ok());
+
+  EXPECT_TRUE(testing::WaitUntil(
+      [&] { return !core().StatsFor("doomed").has_value(); },
+      std::chrono::seconds(2)));
+  EXPECT_EQ(core().free_pool(), core().capacity());
+  EXPECT_TRUE(engine_.List().empty());
+  EXPECT_TRUE(plugin_->closed_containers().empty());  // one close, ours
 }
 
 }  // namespace

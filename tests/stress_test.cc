@@ -331,7 +331,7 @@ TEST(ReproductionShapeTest, BestFitWinsFinishTimeAtHighLoad) {
   double rand_total = 0;
   for (std::uint64_t seed : {101u, 202u, 303u, 404u}) {
     for (const char* policy : {"BF", "Rand"}) {
-      CloudSimConfig config;
+      MultiGpuSimConfig config;
       config.num_containers = 34;
       config.policy = policy;
       config.seed = seed;
@@ -349,7 +349,7 @@ TEST(ReproductionShapeTest, PoliciesTieAtLowLoad) {
   using namespace convgpu::workload;
   std::vector<double> finishes;
   for (const char* policy : {"FIFO", "BF", "RU", "Rand"}) {
-    CloudSimConfig config;
+    MultiGpuSimConfig config;
     config.num_containers = 6;
     config.policy = policy;
     config.seed = 77;
@@ -366,7 +366,7 @@ TEST(ReproductionShapeTest, PoliciesTieAtLowLoad) {
 
 TEST(ReproductionShapeTest, FinishTimeRoughlyDoublesWithLoad) {
   using namespace convgpu::workload;
-  CloudSimConfig config;
+  MultiGpuSimConfig config;
   config.seed = 55;
   config.num_containers = 16;
   auto base = RunCloudSimulationAveraged(config, 4);

@@ -2,7 +2,8 @@
 # Concurrency-correctness build & test matrix for the ConVGPU tree.
 #
 # Legs (each in its own build-* directory so they never poison each other):
-#   1. gcc       — default toolchain, -Werror, full ctest suite
+#   1. gcc       — default toolchain, -Werror, full ctest suite, plus the
+#                  smoke runs below
 #   2. tidy      — clang-tidy over src/ (skipped loudly if not installed)
 #   3. tsa       — Clang -Wthread-safety -Werror compile (skipped if no clang)
 #   4. tsan      — -fsanitize=thread build + full ctest suite
@@ -23,11 +24,15 @@
 #                  under BOTH TSan and ASan; the fast loop for work on
 #                  codec.cc and the handshake. Subset of legs 4+5.
 #
-# The gcc leg additionally runs the codec microbenchmark and the decode-
-# fuzzer seed corpus as must-complete smoke: the microbench enforces the
-# zero-allocation steady-state contracts for the encoders and for a whole
-# reactor round trip (exits nonzero on regression), the fuzzer replays its
-# deterministic corpus.
+# The gcc leg additionally runs as must-complete smoke:
+#   - the codec microbenchmark, which enforces the zero-allocation
+#     steady-state contracts for the encoders and for a whole reactor round
+#     trip (exits nonzero on regression);
+#   - the decode fuzzer, which replays its deterministic seed corpus;
+#   - the virtual-time table harnesses fig7_finish_time, fig8_suspended_time,
+#     ablation_multigpu and ablation_overhead (each exits nonzero when a
+#     simulation fails);
+#   - `cloud_sim 38 BF 7 --json`, whose output must parse as JSON.
 #
 # Clang legs are advisory on machines without clang; set CONVGPU_REQUIRE_CLANG=1
 # to turn those skips into failures (CI with clang installed should do this).
@@ -72,14 +77,21 @@ build_and_test() {  # dir cmake-extra-args...
 }
 
 leg_gcc() {
-  note "leg: gcc (default toolchain, -Werror, full suite + codec smoke)"
+  note "leg: gcc (default toolchain, -Werror, full suite + smoke runs)"
   run_leg gcc gcc_impl
 }
 
 gcc_impl() {
+  local bench="${ROOT}/build-gcc/bench"
   build_and_test build-gcc -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
-    "${ROOT}/build-gcc/bench/codec_microbench" --benchmark_min_time=0.05 &&
-    "${ROOT}/build-gcc/tools/fuzz_decode"
+    "${bench}/codec_microbench" --benchmark_min_time=0.05 &&
+    "${ROOT}/build-gcc/tools/fuzz_decode" &&
+    "${bench}/fig7_finish_time" >/dev/null &&
+    "${bench}/fig8_suspended_time" >/dev/null &&
+    "${bench}/ablation_multigpu" >/dev/null &&
+    "${bench}/ablation_overhead" >/dev/null &&
+    "${ROOT}/build-gcc/examples/cloud_sim" 38 BF 7 --json |
+      python3 -c 'import json,sys; json.load(sys.stdin)'
 }
 
 leg_tidy() {
