@@ -2,7 +2,7 @@
 //
 // Measures the per-message CPU the scheduler and wrapper spend turning
 // protocol::Message values into payload bytes and back — the cost the
-// negotiated binary encoding exists to cut. Also enforces the hot-path
+// link's binary encoding exists to cut. Also enforces the hot-path
 // allocation contract (the process exits nonzero if either regresses):
 //  * after warm-up, encoding into a reused scratch buffer performs ZERO
 //    heap allocations with either codec;

@@ -224,8 +224,8 @@ void WriteObject(std::string& out, const S& s, std::optional<ReqId> req_id) {
 // the alternative, and a missing or mistyped kRequired field is a typed
 // kInvalidArgument (a nested struct's failure names the outer type). Other
 // fields fall back to their defaults. Unknown keys are ignored, so an old
-// peer's frames (no "req_id", no "binary") and a newer peer's extra keys
-// both decode.
+// peer's frames (no "req_id", or a handshake's retired "binary" key) and a
+// newer peer's extra keys both decode.
 
 using json::Json;
 

@@ -19,9 +19,9 @@
 // The first payload byte discriminates the encodings: binary payloads
 // start with kBinaryMagic (>= 0x80), which can never begin a JSON document
 // — so *decoders accept both encodings unconditionally* (DetectCodec), and
-// negotiation via the hello/reattach handshake only governs which encoding
-// each side *sends*. A peer that never advertises binary keeps speaking —
-// and receiving — JSON, exactly the old wire format.
+// nothing is negotiated: the daemon answers every frame in the encoding
+// that frame arrived in. A peer that only sends JSON only receives JSON,
+// exactly the paper's wire format.
 #pragma once
 
 #include <optional>
@@ -86,7 +86,7 @@ const Codec& binary_codec();
 /// Decode then reports the precise error.
 const Codec& DetectCodec(std::string_view payload);
 
-/// Detect + Decode: accepts either encoding, whatever was negotiated.
+/// Detect + Decode: accepts either encoding.
 Result<Message> DecodePayload(std::string_view payload);
 /// Detect + Decode with the correlation id (one parse for both).
 Result<Message> DecodePayload(std::string_view payload,

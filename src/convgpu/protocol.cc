@@ -15,9 +15,9 @@ Result<Message> Call(ipc::MessageClient& client, const Message& request,
                      std::optional<ReqId> req_id,
                      std::optional<std::chrono::milliseconds> timeout,
                      ipc::Fd* received) {
-  // Requests go out as JSON (a raw client never negotiates binary), but the
-  // reply is decoded by whatever encoding it arrives in, so a Call issued
-  // on a binary-negotiated connection still correlates correctly.
+  // Requests go out as JSON, which the daemon answers in JSON (each frame
+  // is answered in its own encoding); the reply is still decoded by
+  // whatever encoding it arrives in.
   CONVGPU_RETURN_IF_ERROR(
       client.SendFrame(EncodePayload(json_codec(), request, req_id)));
   std::optional<ipc::MessageClient::Deadline> deadline;

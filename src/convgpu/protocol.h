@@ -301,22 +301,19 @@ inline constexpr auto kWire<LiveAlloc> =
 struct Hello {
   std::string container_id;
   Pid pid = 0;
-  bool binary = false;  // sender can speak the binary encoding (codec.h)
   bool operator==(const Hello&) const = default;
 };
 template <>
 inline constexpr auto kWire<Hello> =
     Wire("hello",
          Required(&Hello::container_id, "container_id"),
-         Required(&Hello::pid, "pid"),
-         OmittedAtDefault(&Hello::binary, "binary"));
+         Required(&Hello::pid, "pid"));
 
 struct HelloReply {
   bool ok = false;
   std::string error;
   std::uint64_t epoch = 0;  // daemon session epoch; changes on restart
   Bytes limit = 0;          // the container's declared memory limit
-  bool binary = false;      // daemon accepted binary for this connection
   /// This connection's slot on the container's ledger page, whose
   /// descriptor rides the same frame (SCM_RIGHTS); absent without a page.
   std::optional<std::uint64_t> page_slot;
@@ -329,7 +326,6 @@ inline constexpr auto kWire<HelloReply> =
          OmittedAtDefault(&HelloReply::error, "error"),
          Optional(&HelloReply::epoch, "epoch"),
          Optional(&HelloReply::limit, "limit"),
-         OmittedAtDefault(&HelloReply::binary, "binary"),
          OmittedAtDefault(&HelloReply::page_slot, "page_slot"));
 
 /// Sent instead of Hello when the link reconnects after losing the daemon:
@@ -342,7 +338,6 @@ struct Reattach {
   std::uint64_t epoch = 0;  // the epoch learned from Hello/ReattachReply
   Bytes limit = 0;          // declared limit learned from HelloReply
   std::vector<LiveAlloc> allocations;
-  bool binary = false;  // re-negotiated per connection; see codec.h
   bool operator==(const Reattach&) const = default;
 };
 template <>
@@ -352,14 +347,12 @@ inline constexpr auto kWire<Reattach> =
          Required(&Reattach::pid, "pid"),
          Required(&Reattach::epoch, "epoch"),
          Optional(&Reattach::limit, "limit"),
-         Optional(&Reattach::allocations, "allocations"),
-         OmittedAtDefault(&Reattach::binary, "binary"));
+         Optional(&Reattach::allocations, "allocations"));
 
 struct ReattachReply {
   bool ok = false;
   std::string error;
   std::uint64_t epoch = 0;  // the daemon's *current* epoch
-  bool binary = false;      // daemon accepted binary for this connection
   /// As HelloReply::page_slot: the new connection's ledger-page slot.
   std::optional<std::uint64_t> page_slot;
   bool operator==(const ReattachReply&) const = default;
@@ -370,7 +363,6 @@ inline constexpr auto kWire<ReattachReply> =
          Optional(&ReattachReply::ok, "ok"),
          OmittedAtDefault(&ReattachReply::error, "error"),
          Optional(&ReattachReply::epoch, "epoch"),
-         OmittedAtDefault(&ReattachReply::binary, "binary"),
          OmittedAtDefault(&ReattachReply::page_slot, "page_slot"));
 
 using Message =

@@ -131,10 +131,9 @@ void RouterCore::PromoteLocked() {
 
 Status RouterCore::RouteFrame(std::string_view frame, const CallSlot* mine,
                               bool* mine_done) {
-  // Replies are decoded by sniffing each payload's first byte, not by the
-  // negotiated state: both encodings are always accepted, so a daemon
-  // answering in either (including mid-renegotiation) is never
-  // misinterpreted.
+  // Replies are decoded by sniffing each payload's first byte: both
+  // encodings are always accepted, so a daemon answering in either is
+  // never misinterpreted.
   std::optional<protocol::ReqId> req_id;
   auto message = protocol::DecodePayload(frame, req_id);
   if (!req_id) {
@@ -430,9 +429,6 @@ Result<std::unique_ptr<SocketSchedulerLink>> SocketSchedulerLink::Connect(
   protocol::Hello hello;
   hello.container_id = options.container_id;
   hello.pid = options.pid;
-  // Codec negotiation rides the handshake, which itself always travels as
-  // JSON; a reply without "binary" keeps the connection on JSON.
-  hello.binary = true;
   ipc::Fd page_fd;
   auto reply = protocol::Expect<protocol::HelloReply>(
       protocol::Call(**client, protocol::Message(hello), std::nullopt,
@@ -445,20 +441,18 @@ Result<std::unique_ptr<SocketSchedulerLink>> SocketSchedulerLink::Connect(
   auto page = MapLedgerPage(std::move(page_fd), reply->page_slot);
   return std::unique_ptr<SocketSchedulerLink>(new SocketSchedulerLink(
       std::move(*client), socket_path, std::move(options), reply->epoch,
-      reply->limit, reply->binary, std::move(page)));
+      reply->limit, std::move(page)));
 }
 
 SocketSchedulerLink::SocketSchedulerLink(
     std::unique_ptr<ipc::MessageClient> client, std::string socket_path,
-    Options options, std::uint64_t epoch, Bytes limit, bool binary,
+    Options options, std::uint64_t epoch, Bytes limit,
     std::unique_ptr<LedgerPageView> page)
     : socket_path_(std::move(socket_path)), options_(std::move(options)) {
   client_ = std::move(client);
   epoch_ = epoch;
   limit_ = limit;
   page_ = std::move(page);
-  codec_ = binary ? &protocol::binary_codec() : &protocol::json_codec();
-  snapshot_ = options_.snapshot;
   router_.Attach(client_);
   worker_ = std::thread([this] { WorkerLoop(); });
 }
@@ -511,8 +505,7 @@ bool SocketSchedulerLink::connected() const {
 }
 
 std::string SocketSchedulerLink::wire_codec_name() const {
-  MutexLock lock(state_mutex_);
-  return std::string(codec_->name());
+  return std::string(protocol::binary_codec().name());
 }
 
 bool SocketSchedulerLink::has_ledger_page() const {
@@ -620,7 +613,6 @@ bool SocketSchedulerLink::Reconnect() {
     if (result.ok()) {
       std::shared_ptr<ipc::MessageClient> client = std::move(*fresh);
       std::vector<ReplyRouter::Parked> replay;
-      const protocol::Codec* codec = nullptr;
       {
         MutexLock lock(state_mutex_);
         if (closing_) {
@@ -631,7 +623,6 @@ bool SocketSchedulerLink::Reconnect() {
         client_ = client;
         state_ = LinkState::kConnected;
         page_ = std::move(page);
-        codec = codec_;  // re-negotiated by ReattachHandshake just now
         replay.swap(waiting_);
         ++reconnects_;
         replayed_ += replay.size();
@@ -643,7 +634,7 @@ bool SocketSchedulerLink::Reconnect() {
       for (auto& parked : replay) {
         const protocol::Message request = parked.request;
         const protocol::ReqId id = router_.Reissue(std::move(parked));
-        codec->Encode(request, id, scratch);
+        protocol::binary_codec().Encode(request, id, scratch);
         const Status sent = client->SendFrame(scratch);
         if (!sent.ok()) {
           // The fresh connection died already. Force the watcher to see
@@ -698,11 +689,6 @@ Status SocketSchedulerLink::ReattachHandshake(
     snapshot = snapshot_;
   }
   if (snapshot) reattach.allocations = snapshot();
-  // Codec choice is per *connection*, so every reconnect renegotiates from
-  // scratch: the daemon answering this reattach may answer differently than
-  // the one the link last spoke to. The handshake itself always travels as
-  // JSON.
-  reattach.binary = true;
 
   ipc::Fd page_fd;
   auto reply = protocol::Expect<protocol::ReattachReply>(
@@ -716,8 +702,6 @@ Status SocketSchedulerLink::ReattachHandshake(
   page = MapLedgerPage(std::move(page_fd), reply->page_slot);
   MutexLock lock(state_mutex_);
   epoch_ = reply->epoch;  // a restarted daemon hands out its new epoch
-  codec_ =
-      reply->binary ? &protocol::binary_codec() : &protocol::json_codec();
   return Status::Ok();
 }
 
@@ -756,7 +740,6 @@ SchedulerLink::ReplyFuture SocketSchedulerLink::AsyncCall(
   const bool mem_info =
       std::holds_alternative<protocol::MemGetInfoRequest>(request);
   std::shared_ptr<ipc::MessageClient> client;
-  const protocol::Codec* codec = nullptr;
   ReplyRouter::Issued issued;
   {
     MutexLock lock(state_mutex_);
@@ -784,15 +767,13 @@ SchedulerLink::ReplyFuture SocketSchedulerLink::AsyncCall(
       }
     }
     client = client_;
-    codec = codec_;
     issued = options_.auto_reconnect ? router_.Issue(request, replayable)
                                      : router_.Issue();
   }
   // Per-thread scratch keeps the steady-state encode path allocation-free
-  // (see bench/codec_microbench); the codec singleton it points at is
-  // immutable, so using it after dropping the lock is safe.
+  // (see bench/codec_microbench).
   thread_local std::string scratch;
-  codec->Encode(request, issued.id, scratch);
+  protocol::binary_codec().Encode(request, issued.id, scratch);
   const Status sent = client->SendFrame(scratch);
   if (!sent.ok()) {
     if (options_.auto_reconnect) {
@@ -815,7 +796,6 @@ SchedulerLink::ReplyFuture SocketSchedulerLink::AsyncCall(
 
 Status SocketSchedulerLink::Notify(const protocol::Message& message) {
   std::shared_ptr<ipc::MessageClient> client;
-  const protocol::Codec* codec = nullptr;
   {
     MutexLock lock(state_mutex_);
     if (!broken_.ok()) return broken_;
@@ -825,10 +805,9 @@ Status SocketSchedulerLink::Notify(const protocol::Message& message) {
       return UnavailableError("scheduler restarting; notification not sent");
     }
     client = client_;
-    codec = codec_;
   }
   thread_local std::string scratch;
-  codec->Encode(message, std::nullopt, scratch);
+  protocol::binary_codec().Encode(message, std::nullopt, scratch);
   const Status sent = client->SendFrame(scratch);
   if (!sent.ok() && options_.auto_reconnect) client->Shutdown();
   return sent;

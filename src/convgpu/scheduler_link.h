@@ -5,8 +5,9 @@
 //    UNIX socket (production path, what the paper measures in Fig. 4).
 //    Every connection opens with a hello (a reconnect with a reattach) that
 //    names the container and pid; the daemon acts on nothing a connection
-//    sends before it. The payload encoding — the paper's JSON, or the
-//    compact binary layout from codec.h — is negotiated in that handshake;
+//    sends before it. The handshake travels as the paper's JSON; every
+//    frame after it in the compact binary layout from codec.h, which the
+//    daemon answers in kind;
 //  * DirectSchedulerLink — calls a SchedulerCore in-process (unit tests and
 //    the zero-IPC rung of the transport ablation).
 //
@@ -266,11 +267,6 @@ struct SocketSchedulerLinkOptions {
   /// Bounds connect(2) and each handshake reply wait, so a hung (accepting
   /// but unresponsive) daemon cannot wedge the reconnect worker.
   std::chrono::milliseconds handshake_timeout{2000};
-
-  /// The wrapper's live-allocation snapshot, sent with reattach so a
-  /// restarted daemon can rebuild this pid's ledger state. May also be set
-  /// later via SetSnapshotProvider (the wrapper is built after the link).
-  std::function<std::vector<protocol::LiveAlloc>()> snapshot;
 };
 
 /// How a SocketSchedulerLink answered mem_get_info: from the ledger page,
@@ -289,10 +285,9 @@ class SocketSchedulerLink final : public SchedulerLink {
  public:
   using Options = SocketSchedulerLinkOptions;
 
-  /// Connects and says hello, advertising the binary encoding; the link
-  /// speaks binary only when the reply grants it. The handshake runs
-  /// synchronously here: kInvalidArgument without options.container_id,
-  /// and a daemon that refuses the hello fails the connect.
+  /// Connects and says hello. The handshake runs synchronously here:
+  /// kInvalidArgument without options.container_id, and a daemon that
+  /// refuses the hello fails the connect.
   static Result<std::unique_ptr<SocketSchedulerLink>> Connect(
       const std::string& socket_path, Options options);
 
@@ -301,7 +296,8 @@ class SocketSchedulerLink final : public SchedulerLink {
   ReplyFuture AsyncCall(const protocol::Message& request) override;
   Status Notify(const protocol::Message& message) override;
 
-  /// Installs/replaces the reattach snapshot provider.
+  /// Installs/replaces the wrapper's live-allocation snapshot, sent with
+  /// reattach so a restarted daemon can rebuild this pid's ledger state.
   void SetSnapshotProvider(
       std::function<std::vector<protocol::LiveAlloc>()> snapshot);
 
@@ -318,9 +314,7 @@ class SocketSchedulerLink final : public SchedulerLink {
   /// True while a healthy connection is up (false during backoff and after
   /// a permanent failure).
   [[nodiscard]] bool connected() const;
-  /// Name of the encoding this connection negotiated ("json" or "binary").
-  /// Re-negotiated on every reconnect — a restarted daemon may answer
-  /// differently than the one the link first met.
+  /// Name of the encoding the link sends after the handshake: "binary".
   [[nodiscard]] std::string wire_codec_name() const;
   /// True while the current connection holds a mapped ledger page.
   [[nodiscard]] bool has_ledger_page() const;
@@ -331,7 +325,7 @@ class SocketSchedulerLink final : public SchedulerLink {
 
   SocketSchedulerLink(std::unique_ptr<ipc::MessageClient> client,
                       std::string socket_path, Options options,
-                      std::uint64_t epoch, Bytes limit, bool binary,
+                      std::uint64_t epoch, Bytes limit,
                       std::unique_ptr<LedgerPageView> page);
 
   /// Worker thread: alternates watching the connection for hang-up with
@@ -373,13 +367,6 @@ class SocketSchedulerLink final : public SchedulerLink {
   std::vector<ReplyRouter::Parked> waiting_ GUARDED_BY(state_mutex_);
   std::uint64_t epoch_ GUARDED_BY(state_mutex_) = 0;
   Bytes limit_ GUARDED_BY(state_mutex_) = 0;
-  /// The encoding this connection incarnation sends with. Points at one of
-  /// the immortal stateless codec singletons, so the pointer read under the
-  /// lock is safe to *use* outside it. Replies are decoded by sniffing each
-  /// payload (DecodePayload), never by this state. Reset by every
-  /// reattach handshake.
-  const protocol::Codec* codec_ GUARDED_BY(state_mutex_) =
-      &protocol::json_codec();
   std::function<std::vector<protocol::LiveAlloc>()> snapshot_
       GUARDED_BY(state_mutex_);
   std::uint64_t reconnects_ GUARDED_BY(state_mutex_) = 0;

@@ -163,17 +163,6 @@ int SchedulerServer::ShareLedgerPage(ContainerChannel& channel,
   return channel.page->fd();
 }
 
-void SchedulerServer::NegotiateCodec(ConnectionState& state,
-                                     ipc::ConnectionId conn, bool binary) {
-  const protocol::Codec* codec =
-      binary ? &protocol::binary_codec() : &protocol::json_codec();
-  if (state.codec != codec) {
-    CONVGPU_LOG(kDebug, kTag)
-        << "conn " << conn << " negotiated " << codec->name() << " encoding";
-  }
-  state.codec = codec;
-}
-
 protocol::RegisterReply SchedulerServer::DoRegister(
     const protocol::RegisterContainer& request) {
   protocol::RegisterReply reply;
@@ -335,23 +324,22 @@ protocol::StatsReply SchedulerServer::BuildStats() const {
 
 void SchedulerServer::HandleMain(ipc::ConnectionId conn,
                                  std::string_view payload) {
-  // The main socket never negotiates: tooling and nvidia-docker speak JSON.
-  const protocol::Codec& json = protocol::json_codec();
+  const protocol::Codec& codec = protocol::DetectCodec(payload);
   std::optional<protocol::ReqId> req_id;
   auto dispatched = protocol::DispatchFrame(
       payload, req_id,
       protocol::Visitor{
           [&](const protocol::RegisterContainer& request) {
-            Reply(conn, json, DoRegister(request), req_id);
+            Reply(conn, codec, DoRegister(request), req_id);
           },
           [&](const protocol::ContainerClose& close) {
             DoContainerClose(close.container_id);
           },
           [&](const protocol::Ping&) {
-            Reply(conn, json, protocol::Pong{}, req_id);
+            Reply(conn, codec, protocol::Pong{}, req_id);
           },
           [&](const protocol::StatsRequest&) {
-            Reply(conn, json, BuildStats(), req_id);
+            Reply(conn, codec, BuildStats(), req_id);
           },
           [&](const auto& other) {
             CONVGPU_LOG(kWarn, kTag)
@@ -372,7 +360,7 @@ void SchedulerServer::HandleContainer(ContainerChannel& channel,
   if (channel.closed.load(std::memory_order_acquire)) return;
   ConnectionState& state = channel.connections[conn];
   ++state.frames;
-  const protocol::Codec& codec = *state.codec;
+  const protocol::Codec& codec = protocol::DetectCodec(payload);
   // The frame counts as handled in the connection's ledger-page slot once
   // its effect is in the ledger: after the handler, and also before an
   // immediate reply, so a wrapper holding the reply finds its slot caught
@@ -402,18 +390,14 @@ void SchedulerServer::HandleContainer(ContainerChannel& channel,
     return;
   }
 
-  // Hello and reattach end alike: an accepted one admits the connection,
-  // grants binary when the peer asks, and hands out the ledger page. The
-  // reply itself still rides the *current* (JSON) encoding — the switch
-  // takes effect for frames after the handshake.
-  auto answer_handshake = [&](auto reply, bool wants_binary) {
-    reply.binary = reply.ok && wants_binary;
+  // Hello and reattach end alike: an accepted one admits the connection
+  // and hands out the ledger page.
+  auto answer_handshake = [&](auto reply) {
     if (reply.ok) state.admitted = true;
     const int page =
         reply.ok ? ShareLedgerPage(channel, container_id, state) : -1;
     if (page >= 0) reply.page_slot = state.slot;
     Reply(conn, codec, reply, req_id, page);
-    NegotiateCodec(state, conn, reply.binary);
   };
 
   std::visit(
@@ -482,12 +466,10 @@ void SchedulerServer::HandleContainer(ContainerChannel& channel,
             } else {
               reply.error = "unknown container: " + container_id;
             }
-            answer_handshake(reply, hello.binary);
+            answer_handshake(reply);
           },
           [&](const protocol::Reattach& reattach) {
-            answer_handshake(
-                DoReattach(container_id, channel, conn, reattach),
-                reattach.binary);
+            answer_handshake(DoReattach(container_id, channel, conn, reattach));
           },
           [&](const auto& other) {
             CONVGPU_LOG(kWarn, kTag)
@@ -577,7 +559,7 @@ void SchedulerServer::HandleContainerDisconnect(ContainerChannel& channel,
   if (it == channel.connections.end()) return;
   const std::set<Pid> orphans = std::move(it->second.pids);
   if (it->second.slot) channel.page->ReleaseSlot(*it->second.slot);
-  channel.connections.erase(it);  // the codec choice dies with it
+  channel.connections.erase(it);
   if (channel.closed.load(std::memory_order_acquire)) return;
   // A process that vanished without process_exit (crash, SIGKILL) still
   // gets its GPU memory reclaimed — robustness beyond the paper.

@@ -85,12 +85,6 @@ class SchedulerServer {
   /// frame and erased on its disconnect — reactor thread only, so the frame
   /// path reads it without a lock.
   struct ConnectionState {
-    /// Negotiated in hello/reattach: JSON until the peer asks for binary.
-    /// Per connection, not per container — one container can host a JSON
-    /// peer and a binary one side by side — and it dies with the connection
-    /// (ids are never reused), so a reconnecting peer renegotiates from a
-    /// clean JSON slate.
-    const protocol::Codec* codec = &protocol::json_codec();
     /// Set by this connection's first accepted hello or reattach. Before
     /// that, any other frame closes the connection unread by the core: the
     /// daemon acts only for a peer that said who it is.
@@ -149,7 +143,7 @@ class SchedulerServer {
   /// then answers cudaMemGetInfo over the socket).
   int ShareLedgerPage(ContainerChannel& channel,
                       const std::string& container_id, ConnectionState& state);
-  /// Encodes `message` with `codec` (the connection's negotiated encoding)
+  /// Encodes `message` with `codec` (the encoding of the frame it answers)
   /// and queues it on `conn`, echoing the correlation id of the request it
   /// answers (absent for an id-less request); a failed send (vanished
   /// client, backpressure kick) is the client's problem, not the daemon's.
@@ -159,11 +153,6 @@ class SchedulerServer {
   void Reply(ipc::ConnectionId conn, const protocol::Codec& codec,
              const protocol::Message& message,
              std::optional<protocol::ReqId> req_id, int fd = -1);
-  /// Records `conn`'s encoding after a hello or reattach handshake. Takes
-  /// effect for the frames after the handshake reply, which itself rode
-  /// the old encoding.
-  static void NegotiateCodec(ConnectionState& state, ipc::ConnectionId conn,
-                             bool binary);
 
   SchedulerServerOptions options_;
   /// Declared before core_ so a grant callback firing during core_ teardown

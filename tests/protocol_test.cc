@@ -477,7 +477,6 @@ Message RandomMessage(Rng& rng, std::size_t variant) {
       Hello m;
       m.container_id = RandomToken(rng);
       m.pid = RandomPid(rng);
-      m.binary = rng.UniformBelow(2) == 0;
       return m;
     }
     case 16: {
@@ -486,7 +485,6 @@ Message RandomMessage(Rng& rng, std::size_t variant) {
       m.error = RandomToken(rng);
       m.epoch = RandomU62(rng);
       m.limit = RandomBytes(rng);
-      m.binary = rng.UniformBelow(2) == 0;
       return m;
     }
     case 17: {
@@ -502,7 +500,6 @@ Message RandomMessage(Rng& rng, std::size_t variant) {
         alloc.size = RandomBytes(rng);
         m.allocations.push_back(alloc);
       }
-      m.binary = rng.UniformBelow(2) == 0;
       return m;
     }
     default: {
@@ -510,7 +507,6 @@ Message RandomMessage(Rng& rng, std::size_t variant) {
       m.ok = rng.UniformBelow(2) == 0;
       m.error = RandomToken(rng);
       m.epoch = RandomU62(rng);
-      m.binary = rng.UniformBelow(2) == 0;
       return m;
     }
   }
@@ -685,31 +681,28 @@ std::vector<Message> FullyPopulatedMessages() {
                                   .kicked_connections = 0},
                                  {.container_id = "c",
                                   .total_suspended_sec = 3.0}}},
-      Hello{.container_id = "job-1", .pid = 4242, .binary = true},
+      Hello{.container_id = "job-1", .pid = 4242},
       HelloReply{.ok = false,
                  .error = "unknown container",
                  .epoch = kEpoch,
                  .limit = 512_MiB,
-                 .binary = true,
                  .page_slot = std::nullopt},
       Reattach{.container_id = "job-1",
                .pid = 4242,
                .epoch = kEpoch,
                .limit = 512_MiB,
                .allocations = {{.address = kAddress, .size = 128_MiB},
-                               {.address = kAddress + 128_MiB, .size = 1_MiB}},
-               .binary = true},
+                               {.address = kAddress + 128_MiB, .size = 1_MiB}}},
       ReattachReply{.ok = false,
                     .error = "stale epoch",
                     .epoch = kEpoch,
-                    .binary = true,
                     .page_slot = std::nullopt},
   };
 }
 
 // Every variant with every optional key present, once without and once
 // with a correlation id, then the variants whose optional keys (an absent
-// memory_limit, an empty error, binary=false) are omitted from the wire.
+// memory_limit, an empty error) are omitted from the wire.
 std::vector<GoldenInput> GoldenInputs() {
   const std::vector<Message> full = FullyPopulatedMessages();
   const std::vector<Message> omitted = {
@@ -719,23 +712,20 @@ std::vector<GoldenInput> GoldenInputs() {
                     .socket_dir = "/run/convgpu/job-1",
                     .socket_path = "/run/convgpu/job-1/convgpu.sock"},
       AllocReply{.granted = true, .error = ""},
-      Hello{.container_id = "job-1", .pid = 4242, .binary = false},
+      Hello{.container_id = "job-1", .pid = 4242},
       HelloReply{.ok = true,
                  .error = "",
                  .epoch = kEpoch,
                  .limit = 512_MiB,
-                 .binary = false,
                  .page_slot = std::nullopt},
       Reattach{.container_id = "job-1",
                .pid = 4242,
                .epoch = kEpoch,
                .limit = 512_MiB,
-               .allocations = {},
-               .binary = false},
+               .allocations = {}},
       ReattachReply{.ok = true,
                     .error = "",
                     .epoch = kEpoch,
-                    .binary = false,
                     .page_slot = std::nullopt},
   };
   std::vector<GoldenInput> inputs;
@@ -817,21 +807,21 @@ constexpr std::string_view kGoldenJson[] = {
     // stats_reply, req_id 15
     R"golden({"capacity":5368709120,"containers":[{"assigned":2216689664,"container_id":"a","kicked_connections":1,"limit":2147483648,"suspend_episodes":3,"suspended":true,"total_suspended_sec":12.5,"used":536870912},{"assigned":1142947840,"container_id":"b\u0001","kicked_connections":0,"limit":1073741824,"suspend_episodes":0,"suspended":false,"total_suspended_sec":0.1,"used":0},{"assigned":0,"container_id":"c","kicked_connections":0,"limit":0,"suspend_episodes":0,"suspended":false,"total_suspended_sec":3.0,"used":0}],"free_pool":1073741824,"kicked_connections":3,"policy":"BF","req_id":15,"type":"stats_reply"})golden",
     // hello
-    R"golden({"binary":true,"container_id":"job-1","pid":4242,"type":"hello"})golden",
+    R"golden({"container_id":"job-1","pid":4242,"type":"hello"})golden",
     // hello, req_id 16
-    R"golden({"binary":true,"container_id":"job-1","pid":4242,"req_id":16,"type":"hello"})golden",
+    R"golden({"container_id":"job-1","pid":4242,"req_id":16,"type":"hello"})golden",
     // hello_reply
-    R"golden({"binary":true,"epoch":280298068560638,"error":"unknown container","limit":536870912,"ok":false,"type":"hello_reply"})golden",
+    R"golden({"epoch":280298068560638,"error":"unknown container","limit":536870912,"ok":false,"type":"hello_reply"})golden",
     // hello_reply, req_id 17
-    R"golden({"binary":true,"epoch":280298068560638,"error":"unknown container","limit":536870912,"ok":false,"req_id":17,"type":"hello_reply"})golden",
+    R"golden({"epoch":280298068560638,"error":"unknown container","limit":536870912,"ok":false,"req_id":17,"type":"hello_reply"})golden",
     // reattach
-    R"golden({"allocations":[{"address":123145302315572,"size":134217728},{"address":123145436533300,"size":1048576}],"binary":true,"container_id":"job-1","epoch":280298068560638,"limit":536870912,"pid":4242,"type":"reattach"})golden",
+    R"golden({"allocations":[{"address":123145302315572,"size":134217728},{"address":123145436533300,"size":1048576}],"container_id":"job-1","epoch":280298068560638,"limit":536870912,"pid":4242,"type":"reattach"})golden",
     // reattach, req_id 18
-    R"golden({"allocations":[{"address":123145302315572,"size":134217728},{"address":123145436533300,"size":1048576}],"binary":true,"container_id":"job-1","epoch":280298068560638,"limit":536870912,"pid":4242,"req_id":18,"type":"reattach"})golden",
+    R"golden({"allocations":[{"address":123145302315572,"size":134217728},{"address":123145436533300,"size":1048576}],"container_id":"job-1","epoch":280298068560638,"limit":536870912,"pid":4242,"req_id":18,"type":"reattach"})golden",
     // reattach_reply
-    R"golden({"binary":true,"epoch":280298068560638,"error":"stale epoch","ok":false,"type":"reattach_reply"})golden",
+    R"golden({"epoch":280298068560638,"error":"stale epoch","ok":false,"type":"reattach_reply"})golden",
     // reattach_reply, req_id 19
-    R"golden({"binary":true,"epoch":280298068560638,"error":"stale epoch","ok":false,"req_id":19,"type":"reattach_reply"})golden",
+    R"golden({"epoch":280298068560638,"error":"stale epoch","ok":false,"req_id":19,"type":"reattach_reply"})golden",
     // ping, req_id 9223372036854775807
     R"golden({"req_id":9223372036854775807,"type":"ping"})golden",
     // register_container
@@ -940,7 +930,7 @@ void ExpectKeyRule(const json::Json& frame, std::string_view type,
 TEST(CodecTest, JsonDecodeRequiresExactlyTheRequiredKeys) {
   // The keys the encoder leaves out when the field is at its default.
   const std::set<std::string_view> kOmittedAtDefault = {"memory_limit",
-                                                        "error", "binary"};
+                                                        "error"};
   std::set<std::size_t> variants;
   for (const Message& message : FullyPopulatedMessages()) {
     variants.insert(message.index());
@@ -1008,7 +998,7 @@ TEST(CodecTest, JsonDecodeRequiresExactlyTheRequiredKeys) {
 
 TEST(CodecPropertyTest, EncodingsAreEquivalent) {
   // The same Message decodes identically from either wire form — the
-  // guarantee that lets negotiation be per-connection without the scheduler
+  // guarantee that lets each frame pick its encoding without the scheduler
   // caring who speaks what.
   Rng rng(0xC0FFEE);
   constexpr int kIterations = 1500;
@@ -1071,6 +1061,26 @@ TEST(CodecPropertyTest, CorruptedBinaryFramesNeverCrash) {
   }
 }
 
+TEST(CodecTest, HandshakesWithTheRetiredBinaryKeyStillDecode) {
+  // Wrappers that negotiated the encoding put "binary":true on every hello
+  // and reattach. The JSON decoder ignores unknown keys, so a daemon without
+  // the key still reads those handshakes, as the same messages.
+  auto hello = Expect<Hello>(DecodePayload(
+      R"({"binary":true,"container_id":"job-1","pid":4242,"type":"hello"})"));
+  ASSERT_TRUE(hello.ok()) << hello.status().ToString();
+  EXPECT_TRUE(*hello == (Hello{.container_id = "job-1", .pid = 4242}));
+  auto reattach = Expect<Reattach>(DecodePayload(
+      R"({"allocations":[],"binary":true,"container_id":"job-1",)"
+      R"("epoch":280298068560638,"limit":536870912,"pid":4242,)"
+      R"("type":"reattach"})"));
+  ASSERT_TRUE(reattach.ok()) << reattach.status().ToString();
+  EXPECT_TRUE(*reattach == (Reattach{.container_id = "job-1",
+                                     .pid = 4242,
+                                     .epoch = kEpoch,
+                                     .limit = 512_MiB,
+                                     .allocations = {}}));
+}
+
 TEST(CodecTest, HandshakeRepliesCarryThePageSlot) {
   // The ledger page's slot rides the handshake reply; absent (no page) it
   // is left out, so every golden row above stays as it was.
@@ -1078,16 +1088,14 @@ TEST(CodecTest, HandshakeRepliesCarryThePageSlot) {
                                    .error = "",
                                    .epoch = kEpoch,
                                    .limit = 512_MiB,
-                                   .binary = true,
                                    .page_slot = 3};
   const Message reattach = ReattachReply{.ok = true,
                                          .error = "",
                                          .epoch = kEpoch,
-                                         .binary = false,
                                          .page_slot = 0};
   EXPECT_EQ(EncodePayload(json_codec(), hello, 9),
-            R"({"binary":true,"epoch":280298068560638,"limit":536870912,)"
-            R"("ok":true,"page_slot":3,"req_id":9,"type":"hello_reply"})");
+            R"({"epoch":280298068560638,"limit":536870912,"ok":true,)"
+            R"("page_slot":3,"req_id":9,"type":"hello_reply"})");
   EXPECT_EQ(EncodePayload(json_codec(), reattach),
             R"({"epoch":280298068560638,"ok":true,"page_slot":0,)"
             R"("type":"reattach_reply"})");

@@ -94,13 +94,12 @@ TEST_F(ReconnectTest, HelloRejectedForUnknownContainerFailsConnect) {
 
 TEST_F(ReconnectTest, ReplaysIdempotentCallsAcrossRestart) {
   ASSERT_TRUE(Register("c1", 1_GiB).ok());
-  auto options = FastOptions("c1", 7);
-  options.snapshot = [] {
-    return std::vector<protocol::LiveAlloc>{{0xA, 64_MiB}};
-  };
   auto link = SocketSchedulerLink::Connect(
-      fault_->container_socket_path("c1"), std::move(options));
+      fault_->container_socket_path("c1"), FastOptions("c1", 7));
   ASSERT_TRUE(link.ok());
+  (*link)->SetSnapshotProvider([] {
+    return std::vector<protocol::LiveAlloc>{{0xA, 64_MiB}};
+  });
   const std::uint64_t first_epoch = (*link)->session_epoch();
 
   // A committed allocation the restarted daemon must re-learn.
@@ -347,13 +346,12 @@ TEST_F(ReconnectTest, SameEpochBlipRestoresReclaimedMemory) {
   // disconnect handler reclaims the pid's memory, and the same-epoch
   // reattach (with the snapshot) puts it back.
   ASSERT_TRUE(Register("c1", 1_GiB).ok());
-  auto options = FastOptions("c1", 7);
-  options.snapshot = [] {
-    return std::vector<protocol::LiveAlloc>{{0xA, 64_MiB}};
-  };
   auto link = SocketSchedulerLink::Connect(
-      fault_->container_socket_path("c1"), std::move(options));
+      fault_->container_socket_path("c1"), FastOptions("c1", 7));
   ASSERT_TRUE(link.ok());
+  (*link)->SetSnapshotProvider([] {
+    return std::vector<protocol::LiveAlloc>{{0xA, 64_MiB}};
+  });
   const std::uint64_t epoch = (*link)->session_epoch();
 
   protocol::AllocRequest request;

@@ -65,8 +65,8 @@ inline SocketSchedulerLink::Options HelloOptions(std::string container_id,
   return options;
 }
 
-/// The id-less JSON hello a raw peer opens a container connection with. It
-/// does not ask for binary, so the daemon keeps answering in JSON.
+/// The id-less JSON hello a raw peer opens a container connection with; the
+/// daemon answers it, like every frame, in the frame's own encoding.
 inline std::string HelloFrame(const std::string& container_id, Pid pid) {
   protocol::Hello hello;
   hello.container_id = container_id;
@@ -77,7 +77,6 @@ inline std::string HelloFrame(const std::string& container_id, Pid pid) {
 
 /// What a scripted daemon's handshake reply says.
 struct HandshakeAnswer {
-  bool binary = false;  // grant binary when the peer asks for it
   std::uint64_t epoch = 1;
   Bytes limit = 0;  // hello replies only
   std::optional<std::uint64_t> page_slot;
@@ -94,20 +93,17 @@ inline bool AnswerHandshake(ipc::MessageServer& server, ipc::ConnectionId conn,
   auto message = protocol::DecodePayload(payload);
   if (!message.ok()) return false;
   protocol::Message reply;
-  if (const auto* hello = std::get_if<protocol::Hello>(&*message)) {
+  if (std::holds_alternative<protocol::Hello>(*message)) {
     protocol::HelloReply out;
     out.ok = true;
     out.epoch = answer.epoch;
     out.limit = answer.limit;
-    out.binary = answer.binary && hello->binary;
     out.page_slot = answer.page_slot;
     reply = out;
-  } else if (const auto* reattach =
-                 std::get_if<protocol::Reattach>(&*message)) {
+  } else if (std::holds_alternative<protocol::Reattach>(*message)) {
     protocol::ReattachReply out;
     out.ok = true;
     out.epoch = answer.epoch;
-    out.binary = answer.binary && reattach->binary;
     out.page_slot = answer.page_slot;
     reply = out;
   } else {

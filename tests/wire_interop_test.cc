@@ -1,15 +1,11 @@
-// Wire-encoding interop: a link and a daemon must converge on an encoding
-// both sides speak, with zero configuration. The link always asks for
-// binary and the daemon grants it; a daemon whose reply does not grant it
-// (a scripted one here) keeps the link on JSON, byte-for-byte the paper's
-// wire format, and so does a raw JSON peer whose hello does not ask. A
-// reconnect onto a daemon that answers differently re-negotiates from
-// scratch without dropping the in-flight calls it replays.
+// Wire-encoding interop: the daemon answers every frame in the encoding
+// that frame arrived in, so nothing is negotiated and a link needs no
+// configuration. The link sends its handshake as JSON and every frame after
+// it as binary; a raw JSON peer sees only JSON bytes, byte-for-byte the
+// paper's wire format.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
 
@@ -23,53 +19,11 @@ namespace {
 
 using namespace convgpu::literals;
 using namespace std::chrono_literals;
-using convgpu::testing::AnswerHandshake;
 using convgpu::testing::FaultScheduler;
-using convgpu::testing::HandshakeAnswer;
 using convgpu::testing::HelloFrame;
+using convgpu::testing::HelloOptions;
 using convgpu::testing::TempDir;
 using convgpu::testing::WaitUntil;
-
-/// A scripted daemon on one socket: accepts every hello and reattach,
-/// granting binary only when `binary`; grants every alloc_request and
-/// answers mem_get_info with a 1 GiB total, each reply in the request's own
-/// encoding.
-class ScriptedDaemon {
- public:
-  ScriptedDaemon(const std::string& path, bool binary) {
-    HandshakeAnswer answer;
-    answer.binary = binary;
-    answer.limit = 1_GiB;
-    const Status started = server_.Start(
-        path, [this, answer](ipc::ConnectionId conn, std::string_view payload) {
-          if (AnswerHandshake(server_, conn, payload, answer)) return;
-          std::optional<protocol::ReqId> req_id;
-          auto request = protocol::DecodePayload(payload, req_id);
-          if (!request.ok()) return;
-          protocol::Message reply;
-          if (std::holds_alternative<protocol::MemGetInfoRequest>(*request)) {
-            protocol::MemInfoReply info;
-            info.total = 1_GiB;
-            reply = info;
-          } else if (std::holds_alternative<protocol::AllocRequest>(
-                         *request)) {
-            protocol::AllocReply granted;
-            granted.granted = true;
-            reply = granted;
-          } else {
-            return;  // notifications
-          }
-          (void)server_.SendBytes(
-              conn, protocol::EncodePayload(protocol::DetectCodec(payload),
-                                            reply, req_id));
-        });
-    EXPECT_TRUE(started.ok()) << started.ToString();
-  }
-  ~ScriptedDaemon() { server_.Stop(); }
-
- private:
-  ipc::MessageServer server_;
-};
 
 class WireInteropTest : public ::testing::Test {
  protected:
@@ -96,20 +50,8 @@ class WireInteropTest : public ::testing::Test {
     return reply;
   }
 
-  static SocketSchedulerLink::Options FastOptions(const std::string& id,
-                                                  Pid pid) {
-    SocketSchedulerLink::Options options;
-    options.container_id = id;
-    options.pid = pid;
-    options.auto_reconnect = true;
-    options.initial_backoff = 5ms;
-    options.max_backoff = 50ms;
-    options.handshake_timeout = 500ms;
-    return options;
-  }
-
-  /// One full admission exchange — proof the negotiated encoding actually
-  /// carries scheduler traffic, not just the handshake.
+  /// One full admission exchange — proof the link's binary frames carry
+  /// scheduler traffic, not just the handshake.
   static void ExpectAllocWorks(SchedulerLink& link, const std::string& id,
                                Pid pid) {
     protocol::AllocRequest request;
@@ -128,6 +70,27 @@ class WireInteropTest : public ::testing::Test {
     ASSERT_TRUE(link.Notify(protocol::Message(abort)).ok());
   }
 
+  /// Sends `message` encoded with `codec` and tagged `req_id`.
+  static Status SendIn(ipc::MessageClient& client,
+                       const protocol::Codec& codec,
+                       const protocol::Message& message,
+                       protocol::ReqId req_id) {
+    return client.SendFrame(protocol::EncodePayload(codec, message, req_id));
+  }
+
+  /// Receives one frame, checks that it rides `codec` and echoes `req_id`,
+  /// and decodes it.
+  static Result<protocol::Message> RecvIn(ipc::MessageClient& client,
+                                          const protocol::Codec& codec,
+                                          protocol::ReqId req_id) {
+    auto raw = client.RecvFrame(5s);
+    if (!raw.ok()) return raw.status();
+    EXPECT_EQ(protocol::DetectCodec(*raw).name(), codec.name())
+        << "reply to req_id " << req_id;
+    EXPECT_EQ(protocol::PeekPayloadReqId(*raw), req_id);
+    return protocol::DecodePayload(*raw);
+  }
+
   TempDir dir_;
   std::unique_ptr<FaultScheduler> fault_;
 };
@@ -135,27 +98,15 @@ class WireInteropTest : public ::testing::Test {
 TEST_F(WireInteropTest, TwoBinaryCapablePeersUpgrade) {
   ASSERT_TRUE(Register("c1", 1_GiB).ok());
   auto link = SocketSchedulerLink::Connect(
-      fault_->container_socket_path("c1"), FastOptions("c1", 7));
+      fault_->container_socket_path("c1"), HelloOptions("c1", 7));
   ASSERT_TRUE(link.ok());
   EXPECT_EQ((*link)->wire_codec_name(), "binary");
   ExpectAllocWorks(**link, "c1", 7);
 }
 
-TEST_F(WireInteropTest, BinaryLinkAgainstJsonOnlyDaemonFallsBack) {
-  // The daemon parses the hello fine (the advertisement is just an extra
-  // key) but its reply does not grant the upgrade.
-  const std::string path = dir_.path() + "/scripted.sock";
-  ScriptedDaemon daemon(path, /*binary=*/false);
-  auto link = SocketSchedulerLink::Connect(path, FastOptions("c1", 7));
-  ASSERT_TRUE(link.ok());
-  EXPECT_EQ((*link)->wire_codec_name(), "json");
-  ExpectAllocWorks(**link, "c1", 7);
-}
-
 TEST_F(WireInteropTest, RawJsonPeerSeesOnlyJsonBytes) {
-  // A raw peer says an id-less JSON hello that does not ask for binary,
-  // then speaks id-less JSON frames. Every reply must come back as JSON —
-  // the daemon may only switch a connection that asked.
+  // A raw peer says an id-less JSON hello, then speaks id-less JSON
+  // frames. Every reply must come back as JSON.
   ASSERT_TRUE(Register("c1", 1_GiB).ok());
   auto client =
       ipc::MessageClient::ConnectUnix(fault_->container_socket_path("c1"));
@@ -184,10 +135,9 @@ TEST_F(WireInteropTest, RawJsonPeerSeesOnlyJsonBytes) {
 }
 
 TEST_F(WireInteropTest, HandshakeRepliesRideJsonThenTrafficSwitches) {
-  // The upgrade takes effect strictly *after* the handshake exchange: the
-  // hello reply itself arrives in JSON (the encoding the hello was sent
-  // in), and only subsequent replies are binary. A raw client pins the
-  // actual bytes.
+  // The link's exchange, pinned byte by byte with a raw client: the hello
+  // travels as JSON and its reply arrives in JSON, and the binary frames
+  // after it are answered in binary.
   ASSERT_TRUE(Register("c1", 1_GiB).ok());
   auto client =
       ipc::MessageClient::ConnectUnix(fault_->container_socket_path("c1"));
@@ -196,7 +146,6 @@ TEST_F(WireInteropTest, HandshakeRepliesRideJsonThenTrafficSwitches) {
   protocol::Hello hello;
   hello.container_id = "c1";
   hello.pid = 5;
-  hello.binary = true;
   ASSERT_TRUE((*client)
                   ->SendFrame(protocol::EncodePayload(
                       protocol::json_codec(), protocol::Message(hello),
@@ -208,9 +157,7 @@ TEST_F(WireInteropTest, HandshakeRepliesRideJsonThenTrafficSwitches) {
   auto accepted =
       protocol::Expect<protocol::HelloReply>(protocol::DecodePayload(*raw));
   ASSERT_TRUE(accepted.ok() && accepted->ok);
-  EXPECT_TRUE(accepted->binary);
 
-  // From here on the daemon answers this connection in binary.
   ASSERT_TRUE((*client)
                   ->SendFrame(protocol::EncodePayload(
                       protocol::binary_codec(),
@@ -225,59 +172,64 @@ TEST_F(WireInteropTest, HandshakeRepliesRideJsonThenTrafficSwitches) {
   EXPECT_TRUE(pong.ok()) << pong.status().ToString();
 }
 
-TEST_F(WireInteropTest, ReconnectRenegotiatesOntoJsonOnlyDaemon) {
-  // A binary connection dies; the daemon that comes back does not grant
-  // binary. The reattach must downgrade the link — and the idempotent call
-  // replayed across the outage must still get its answer, on the new
-  // encoding.
-  const std::string path = dir_.path() + "/scripted.sock";
-  auto daemon = std::make_unique<ScriptedDaemon>(path, /*binary=*/true);
-  auto link = SocketSchedulerLink::Connect(path, FastOptions("c1", 7));
-  ASSERT_TRUE(link.ok());
-  ASSERT_EQ((*link)->wire_codec_name(), "binary");
+TEST_F(WireInteropTest, EachFrameIsAnsweredInItsOwnEncoding) {
+  // Nothing is negotiated. After a JSON hello that says nothing about
+  // encodings, one connection gets a binary answer to a binary frame and a
+  // JSON answer to a JSON one; a suspended request's deferred grant rides
+  // the request's encoding; and the main socket follows the same rule.
+  const protocol::Codec& json = protocol::json_codec();
+  const protocol::Codec& binary = protocol::binary_codec();
+  ASSERT_TRUE(Register("hog", 4_GiB).ok());
+  ASSERT_TRUE(Register("c1", 2_GiB).ok());
+  auto hog = SocketSchedulerLink::Connect(
+      fault_->container_socket_path("hog"), HelloOptions("hog", 1));
+  ASSERT_TRUE(hog.ok());
+  protocol::AllocRequest hog_request;
+  hog_request.container_id = "hog";
+  hog_request.pid = 1;
+  hog_request.size = 4_GiB;
+  auto hog_granted = protocol::Expect<protocol::AllocReply>(
+      (*hog)->Call(protocol::Message(hog_request)));
+  ASSERT_TRUE(hog_granted.ok() && hog_granted->granted);
 
-  daemon.reset();
-  // In flight while the daemon is dark: replayable, so its future survives
-  // the outage and resolves on the downgraded connection.
-  protocol::MemGetInfoRequest info;
-  info.container_id = "c1";
-  info.pid = 7;
-  auto pending = (*link)->AsyncCall(protocol::Message(info));
+  auto client =
+      ipc::MessageClient::ConnectUnix(fault_->container_socket_path("c1"));
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE((*client)->SendFrame(HelloFrame("c1", 3)).ok());
+  auto hello_reply = (*client)->RecvFrame(5s);
+  ASSERT_TRUE(hello_reply.ok());
+  EXPECT_EQ(hello_reply->front(), '{') << *hello_reply;
 
-  daemon = std::make_unique<ScriptedDaemon>(path, /*binary=*/false);
+  const protocol::Message ping{protocol::Ping{}};
+  ASSERT_TRUE(SendIn(**client, binary, ping, 2).ok());
+  EXPECT_TRUE(
+      protocol::Expect<protocol::Pong>(RecvIn(**client, binary, 2)).ok());
+  ASSERT_TRUE(SendIn(**client, json, ping, 3).ok());
+  EXPECT_TRUE(protocol::Expect<protocol::Pong>(RecvIn(**client, json, 3)).ok());
 
-  auto reply = protocol::Expect<protocol::MemInfoReply>(pending.get());
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply->total, 1_GiB);
-  EXPECT_EQ((*link)->wire_codec_name(), "json");
-  EXPECT_GE((*link)->reconnect_count(), 1u);
-  ExpectAllocWorks(**link, "c1", 7);
-  link->reset();
-}
-
-TEST_F(WireInteropTest, ReconnectUpgradesOntoBinaryCapableDaemon) {
-  // The reverse migration: a link that met a daemon not granting binary
-  // keeps advertising on every reattach, so the daemon that replaces it
-  // can upgrade the wire without touching the wrapper.
-  const std::string path = dir_.path() + "/scripted.sock";
-  auto daemon = std::make_unique<ScriptedDaemon>(path, /*binary=*/false);
-  auto link = SocketSchedulerLink::Connect(path, FastOptions("c1", 7));
-  ASSERT_TRUE(link.ok());
-  ASSERT_EQ((*link)->wire_codec_name(), "json");
-
-  const std::uint64_t reconnects_before = (*link)->reconnect_count();
-  daemon.reset();
-  daemon = std::make_unique<ScriptedDaemon>(path, /*binary=*/true);
-
-  // connected() alone is not enough: a fast Down/Up can finish before the
-  // link's reader even notices the EOF, so wait for the reattach itself.
+  protocol::AllocRequest request;
+  request.container_id = "c1";
+  request.pid = 3;
+  request.size = 2_GiB;
+  ASSERT_TRUE(SendIn(**client, binary, protocol::Message(request), 4).ok());
   ASSERT_TRUE(WaitUntil([&] {
-    return (*link)->reconnect_count() > reconnects_before &&
-           (*link)->connected();
+    auto stats = fault_->core().StatsFor("c1");
+    return stats.has_value() && stats->suspended;
   }));
-  EXPECT_EQ((*link)->wire_codec_name(), "binary");
-  ExpectAllocWorks(**link, "c1", 7);
-  link->reset();
+
+  auto main = ipc::MessageClient::ConnectUnix(fault_->main_socket_path());
+  ASSERT_TRUE(main.ok());
+  ASSERT_TRUE(SendIn(**main, binary, ping, 5).ok());
+  EXPECT_TRUE(protocol::Expect<protocol::Pong>(RecvIn(**main, binary, 5)).ok());
+  // Closing the hog's container frees the pool and grants the parked call.
+  protocol::ContainerClose close;
+  close.container_id = "hog";
+  ASSERT_TRUE(protocol::Notify(**main, protocol::Message(close)).ok());
+
+  auto granted =
+      protocol::Expect<protocol::AllocReply>(RecvIn(**client, binary, 4));
+  ASSERT_TRUE(granted.ok()) << granted.status().ToString();
+  EXPECT_TRUE(granted->granted) << granted->error;
 }
 
 }  // namespace

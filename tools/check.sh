@@ -20,9 +20,10 @@
 #                  TSan and ASan; the fast loop for work on the reconnect
 #                  state machine. Subset of legs 4+5.
 #   9. codec     — the wire-encoding suites (codec property tests, binary/
-#                  JSON interop and negotiation, protocol round trips)
-#                  under BOTH TSan and ASan; the fast loop for work on
-#                  codec.cc and the handshake. Subset of legs 4+5.
+#                  JSON interop with each frame answered in its own
+#                  encoding, protocol round trips) under BOTH TSan and
+#                  ASan; the fast loop for work on codec.cc and the
+#                  handshake. Subset of legs 4+5.
 #
 # The gcc leg additionally runs as must-complete smoke:
 #   - the codec microbenchmark, which enforces the zero-allocation
@@ -205,9 +206,9 @@ leg_reconnect() {
   run_leg reconnect-asan asan_subset "${RECONNECT_FILTER}"
 }
 
-# CodecTest/CodecPropertyTest (codec.cc), WireInterop (negotiation, the
-# JSON fallback and renegotiation on reconnect), plus the protocol
-# round-trip suites both encodings must agree with.
+# CodecTest/CodecPropertyTest (codec.cc), WireInterop (each frame answered
+# in its own encoding, on container and main sockets alike), plus the
+# protocol round-trip suites both encodings must agree with.
 CODEC_FILTER='Codec|WireInterop|Protocol'
 
 leg_codec() {

@@ -141,23 +141,22 @@ int main() {
                                  .total_suspended_sec = 1.25,
                                  .suspend_episodes = 3,
                                  .kicked_connections = 1}}},
-      Hello{.container_id = "fuzz", .pid = 1, .binary = true},
+      Hello{.container_id = "fuzz", .pid = 1},
       HelloReply{.ok = true,
                  .error = "stale",
                  .epoch = 0xFEED,
                  .limit = 512ll << 20,
-                 .binary = true,
                  .page_slot = std::nullopt},
       Reattach{.container_id = "fuzz",
                .pid = 1,
                .epoch = 0xFEED,
                .limit = 512ll << 20,
                .allocations = {{.address = 0xA0000, .size = 1 << 20},
-                               {.address = kAddress, .size = 4096}},
-               .binary = true},
-      ReattachReply{.ok = true, .error = "stale", .epoch = 0xFEED,
-                    .binary = true,
-                 .page_slot = std::nullopt},
+                               {.address = kAddress, .size = 4096}}},
+      ReattachReply{.ok = true,
+                    .error = "stale",
+                    .epoch = 0xFEED,
+                    .page_slot = std::nullopt},
   };
   if (seeds.size() != std::variant_size_v<Message>) {
     std::fprintf(stderr, "fuzz_decode: %zu seeds for %zu variants\n",
